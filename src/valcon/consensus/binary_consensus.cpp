@@ -85,31 +85,122 @@ crypto::Hash vote_digest(int instance, std::int64_t round, std::uint32_t step,
       .finish();
 }
 
+// Adds `from` to the sender set of bit `v`. The pair is sized on first
+// use, since an instance learns n from its first context.
+void add_sender(std::array<crypto::VoterBitset, 2>& senders, bool v,
+                ProcessId from, int n) {
+  if (senders[0].capacity() == 0) {
+    senders = {crypto::VoterBitset(n), crypto::VoterBitset(n)};
+  }
+  senders[v ? 1 : 0].insert(from);
+}
+
 }  // namespace
 
+// ------------------------------------------------------------- codec
+
+sim::PayloadPtr BinaryConsensus::encode(const Wire& wire) {
+  const bool bit = wire.value.value_or(false);
+  switch (wire.kind) {
+    case Wire::Kind::kEst:
+      return sim::make_payload<MEst>(bit);
+    case Wire::Kind::kProposal:
+      return sim::make_payload<MProposal>(wire.round, bit, wire.valid_round);
+    case Wire::Kind::kPrevote:
+      return sim::make_payload<MPrevote>(wire.round, wire.value);
+    case Wire::Kind::kPrecommit:
+      return sim::make_payload<MPrecommit>(wire.round, wire.value);
+    case Wire::Kind::kDecided:
+      return sim::make_payload<MDecided>(bit);
+    case Wire::Kind::kVoteSig:
+      return sim::make_payload<MVoteSig>(wire.round, wire.step, wire.value,
+                                         wire.sig);
+  }
+  return nullptr;
+}
+
+std::optional<BinaryConsensus::Wire> BinaryConsensus::decode(
+    const sim::Payload& payload) {
+  Wire w;
+  if (const auto* est = dynamic_cast<const MEst*>(&payload)) {
+    w.kind = Wire::Kind::kEst;
+    w.value = est->value;
+  } else if (const auto* proposal = dynamic_cast<const MProposal*>(&payload)) {
+    w.kind = Wire::Kind::kProposal;
+    w.round = proposal->round;
+    w.value = proposal->value;
+    w.valid_round = proposal->valid_round;
+  } else if (const auto* prevote = dynamic_cast<const MPrevote*>(&payload)) {
+    w.kind = Wire::Kind::kPrevote;
+    w.round = prevote->round;
+    w.value = prevote->value;
+  } else if (const auto* precommit =
+                 dynamic_cast<const MPrecommit*>(&payload)) {
+    w.kind = Wire::Kind::kPrecommit;
+    w.round = precommit->round;
+    w.value = precommit->value;
+  } else if (const auto* done = dynamic_cast<const MDecided*>(&payload)) {
+    w.kind = Wire::Kind::kDecided;
+    w.value = done->value;
+  } else if (const auto* vote = dynamic_cast<const MVoteSig*>(&payload)) {
+    w.kind = Wire::Kind::kVoteSig;
+    w.round = vote->round;
+    w.step = vote->step;
+    w.value = vote->value;
+    w.sig = vote->sig;
+  } else {
+    return std::nullopt;
+  }
+  return w;
+}
+
+// ------------------------------------------------------------- tallies
+
+BinaryConsensus::RoundState::RoundState(int n)
+    : prevotes{crypto::VoterBitset(n), crypto::VoterBitset(n),
+               crypto::VoterBitset(n)},
+      precommits{crypto::VoterBitset(n), crypto::VoterBitset(n),
+                 crypto::VoterBitset(n)},
+      participants(n) {}
+
+BinaryConsensus::RoundState& BinaryConsensus::round_state(std::int64_t round,
+                                                          int n) {
+  return rounds_.try_emplace(round, n).first->second;
+}
+
 bool BinaryConsensus::justified(bool v, sim::Context& ctx) const {
-  return static_cast<int>(est_senders_[v ? 1 : 0].size()) >=
-         core::plurality(ctx.t());
+  return est_senders_[v ? 1 : 0].count() >= core::plurality(ctx.t());
 }
 
 int BinaryConsensus::count_prevotes(std::int64_t round,
                                     std::optional<bool> v) const {
-  const auto rit = rounds_.find(round);
-  if (rit == rounds_.end()) return 0;
-  const auto it = rit->second.prevotes.find(v);
-  return it == rit->second.prevotes.end()
-             ? 0
-             : static_cast<int>(it->second.size());
+  const auto it = rounds_.find(round);
+  return it == rounds_.end() ? 0 : it->second.prevotes[vote_slot(v)].count();
 }
 
-int BinaryConsensus::count_precommits(std::int64_t round,
-                                      std::optional<bool> v) const {
-  const auto rit = rounds_.find(round);
-  if (rit == rounds_.end()) return 0;
-  const auto it = rit->second.precommits.find(v);
-  return it == rit->second.precommits.end()
-             ? 0
-             : static_cast<int>(it->second.size());
+void BinaryConsensus::tally_vote(sim::Context& ctx, std::uint32_t step,
+                                 std::int64_t round, RoundState& rs,
+                                 std::optional<bool> v, ProcessId from) {
+  rs.participants.insert(from);
+  const bool prevote = step == kStepPrevote;
+  crypto::VoterBitset& votes =
+      (prevote ? rs.prevotes : rs.precommits)[vote_slot(v)];
+  if (!votes.insert(from) || !v.has_value() ||
+      votes.count() < core::byz_quorum(ctx.n(), ctx.t())) {
+    return;
+  }
+  const std::pair<std::int64_t, bool> key{round, *v};
+  if (prevote) {
+    // The highest quorum round wins; within a round, bit 0 wins.
+    if (!last_prevote_quorum_.has_value() ||
+        round > last_prevote_quorum_->first ||
+        (round == last_prevote_quorum_->first && !*v)) {
+      last_prevote_quorum_ = key;
+    }
+  } else if (!first_precommit_quorum_.has_value() ||
+             key < *first_precommit_quorum_) {
+    first_precommit_quorum_ = key;
+  }
 }
 
 // ----------------------------------------------------------- lifecycle
@@ -148,7 +239,7 @@ void BinaryConsensus::start_round(sim::Context& ctx, std::int64_t round) {
 void BinaryConsensus::maybe_send_proposal(sim::Context& ctx) {
   if (halted_ || round_ < 0) return;
   if (proposer_of(round_, ctx.n()) != ctx.id()) return;
-  RoundState& rs = rounds_[round_];
+  RoundState& rs = round_state(round_, ctx.n());
   if (rs.proposal_sent || rs.proposal_seen) return;
   // Value choice: validValue if set; otherwise the own input, preferring a
   // justified bit so the proposal can gather prevotes.
@@ -236,14 +327,9 @@ void BinaryConsensus::on_vote_cert(sim::Context& ctx,
   }
   if (qc.voters.count() < core::byz_quorum(ctx.n(), ctx.t())) return;
   if (!ctx.keys().verify_aggregate(qc.voters, qc.agg)) return;
-  RoundState& rs = rounds_[qc.round];
-  std::set<ProcessId>& votes = step == kStepPrevote ? rs.prevotes[decoded]
-                                                    : rs.precommits[decoded];
+  RoundState& rs = round_state(qc.round, ctx.n());
   for (ProcessId p = 0; p < ctx.n(); ++p) {
-    if (qc.voters.test(p)) {
-      votes.insert(p);
-      rs.participants.insert(p);
-    }
+    if (qc.voters.test(p)) tally_vote(ctx, step, qc.round, rs, decoded, p);
   }
   poll(ctx);
 }
@@ -291,40 +377,39 @@ void BinaryConsensus::on_message(sim::Context& ctx, ProcessId from,
       return;
     }
   }
-  if (const auto* done = dynamic_cast<const MDecided*>(m.get())) {
-    decided_senders_[done->value ? 1 : 0].insert(from);
-    poll(ctx);
-    return;
-  }
-  if (const auto* est = dynamic_cast<const MEst*>(m.get())) {
-    est_senders_[est->value ? 1 : 0].insert(from);
-    poll(ctx);
-    return;
-  }
-  if (const auto* proposal = dynamic_cast<const MProposal*>(m.get())) {
-    if (from != proposer_of(proposal->round, ctx.n())) return;
-    RoundState& rs = rounds_[proposal->round];
-    rs.participants.insert(from);
-    if (!rs.proposal_seen) {
-      rs.proposal_seen = true;
-      rs.proposal = {proposal->value, proposal->valid_round};
-    }
-    poll(ctx);
-    return;
-  }
+  // Votes first: they are the commonest deliveries by far.
   if (const auto* prevote = dynamic_cast<const MPrevote*>(m.get())) {
     if (cert_mode_ == core::CertMode::kAggregate) return;
-    RoundState& rs = rounds_[prevote->round];
-    rs.participants.insert(from);
-    rs.prevotes[prevote->value].insert(from);
+    tally_vote(ctx, kStepPrevote, prevote->round,
+               round_state(prevote->round, ctx.n()), prevote->value, from);
     poll(ctx);
     return;
   }
   if (const auto* precommit = dynamic_cast<const MPrecommit*>(m.get())) {
     if (cert_mode_ == core::CertMode::kAggregate) return;
-    RoundState& rs = rounds_[precommit->round];
+    tally_vote(ctx, kStepPrecommit, precommit->round,
+               round_state(precommit->round, ctx.n()), precommit->value, from);
+    poll(ctx);
+    return;
+  }
+  if (const auto* done = dynamic_cast<const MDecided*>(m.get())) {
+    add_sender(decided_senders_, done->value, from, ctx.n());
+    poll(ctx);
+    return;
+  }
+  if (const auto* est = dynamic_cast<const MEst*>(m.get())) {
+    add_sender(est_senders_, est->value, from, ctx.n());
+    poll(ctx);
+    return;
+  }
+  if (const auto* proposal = dynamic_cast<const MProposal*>(m.get())) {
+    if (from != proposer_of(proposal->round, ctx.n())) return;
+    RoundState& rs = round_state(proposal->round, ctx.n());
     rs.participants.insert(from);
-    rs.precommits[precommit->value].insert(from);
+    if (!rs.proposal_seen) {
+      rs.proposal_seen = true;
+      rs.proposal = {proposal->value, proposal->valid_round};
+    }
     poll(ctx);
     return;
   }
@@ -345,63 +430,44 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   const int t = ctx.t();
   const int quorum = core::byz_quorum(n, t);
 
-  // Decide: 2t+1 precommits for a bit in any round, or t+1 DECIDEDs
-  // (at least one correct process decided that bit).
+  // Decide: t+1 DECIDEDs for a bit (at least one correct process decided
+  // it), or 2t+1 precommits for a bit in any round — the least such
+  // (round, bit), which first_precommit_quorum_ holds.
   if (!decided_.has_value()) {
     for (const bool b : {false, true}) {
-      if (static_cast<int>(decided_senders_[b ? 1 : 0].size()) >=
-          core::plurality(t)) {
+      if (decided_senders_[b ? 1 : 0].count() >= core::plurality(t)) {
         decide(ctx, b);
         break;
       }
     }
   }
-  if (!decided_.has_value()) {
-    for (const auto& [round, rs] : rounds_) {
-      for (const bool b : {false, true}) {
-        const auto it = rs.precommits.find(b);
-        if (it != rs.precommits.end() &&
-            static_cast<int>(it->second.size()) >= quorum) {
-          decide(ctx, b);
-          break;
-        }
-      }
-      if (decided_.has_value()) break;
-    }
+  if (!decided_.has_value() && first_precommit_quorum_.has_value()) {
+    decide(ctx, first_precommit_quorum_->second);
   }
   // Halt once n-t processes report the decided bit: every correct process
   // has decided, nobody needs our votes anymore.
-  if (decided_.has_value()) {
-    const std::size_t idx = *decided_ ? 1 : 0;
-    if (static_cast<int>(decided_senders_[idx].size()) >=
-        core::quorum_n_minus_t(n, t)) {
-      halted_ = true;
-      return;
-    }
+  if (decided_.has_value() && decided_senders_[*decided_ ? 1 : 0].count() >=
+                                  core::quorum_n_minus_t(n, t)) {
+    halted_ = true;
+    return;
   }
 
   // Round skip: t+1 distinct participants in a future round.
   for (auto it = rounds_.upper_bound(round_); it != rounds_.end(); ++it) {
-    if (static_cast<int>(it->second.participants.size()) >=
-        core::plurality(t)) {
+    if (it->second.participants.count() >= core::plurality(t)) {
       start_round(ctx, it->first);
       return;
     }
   }
 
-  RoundState& rs = rounds_[round_];
+  RoundState& rs = round_state(round_, n);
 
-  // validValue update: 2t+1 prevotes for a bit, any round.
-  for (const auto& [round, state] : rounds_) {
-    for (const bool b : {false, true}) {
-      const auto it = state.prevotes.find(b);
-      if (it != state.prevotes.end() &&
-          static_cast<int>(it->second.size()) >= quorum &&
-          round > valid_round_) {
-        valid_value_ = b;
-        valid_round_ = round;
-      }
-    }
+  // validValue update: 2t+1 prevotes for a bit in a round above validRound.
+  // Only the highest such round matters, which last_prevote_quorum_ holds.
+  if (last_prevote_quorum_.has_value() &&
+      last_prevote_quorum_->first > valid_round_) {
+    valid_round_ = last_prevote_quorum_->first;
+    valid_value_ = last_prevote_quorum_->second;
   }
 
   // Propose step: evaluate the proposal acceptance rules.
@@ -426,7 +492,7 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   // prevotes precommit nil.
   if (step_ == Step::kPrevote) {
     for (const bool b : {false, true}) {
-      if (count_prevotes(round_, b) >= quorum) {
+      if (rs.prevotes[vote_slot(b)].count() >= quorum) {
         locked_value_ = b;
         locked_round_ = round_;
         valid_value_ = b;
@@ -436,7 +502,7 @@ void BinaryConsensus::poll(sim::Context& ctx) {
         return;
       }
     }
-    if (count_prevotes(round_, std::nullopt) >= quorum) {
+    if (rs.prevotes[vote_slot(std::nullopt)].count() >= quorum) {
       do_precommit(ctx, std::nullopt);
       poll(ctx);
       return;
@@ -446,11 +512,11 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   // Precommit step: a full set of precommits (any mix) ends the round early.
   if (step_ == Step::kPrecommit) {
     int total = 0;
-    for (const auto& [v, senders] : rs.precommits) {
-      total += static_cast<int>(senders.size());
+    for (const crypto::VoterBitset& senders : rs.precommits) {
+      total += senders.count();
     }
     if (total >= core::quorum_n_minus_t(n, t) &&
-        count_precommits(round_, std::nullopt) >= core::plurality(t)) {
+        rs.precommits[vote_slot(std::nullopt)].count() >= core::plurality(t)) {
       start_round(ctx, round_ + 1);
       return;
     }

@@ -22,6 +22,20 @@
 //
 // See DESIGN.md §2 for the substitution rationale.
 //
+// Tallies. Every "who sent this" set (EST and DECIDED senders, each
+// round's participants, prevotes and precommits per value nil/0/1) is a
+// crypto::VoterBitset: O(1) insert and count, and no heap allocation at
+// n <= 128. Rounds live in a map, so the only allocation a vote can cause
+// is the node of a round seen for the first time. Two rules range over
+// every round: decide on 2t+1 precommits for a bit in any round, and
+// raise validValue to the highest round with 2t+1 prevotes for a bit.
+// Tallies only grow, so a (round, bit) pair that holds a quorum holds it
+// forever, and each rule's answer depends only on the set of quorum
+// pairs. Two records (first_precommit_quorum_, last_prevote_quorum_)
+// track those answers as votes are inserted, including votes that arrive
+// before on_start, so poll() reads them in O(1) instead of walking the
+// rounds on every delivery.
+//
 // CertMode::kAggregate batches the two vote rounds (core/quorum.hpp):
 // instead of broadcasting prevotes/precommits all-to-all, each process
 // sends one signed vote to the round's proposer, who certifies 2t+1
@@ -35,14 +49,18 @@
 // votes are lost to the network.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "valcon/core/quorum.hpp"
 #include "valcon/crypto/hash.hpp"
+#include "valcon/crypto/signatures.hpp"
 #include "valcon/sim/component.hpp"
 
 namespace valcon::consensus {
@@ -74,6 +92,25 @@ class BinaryConsensus final : public sim::Component {
                   const sim::PayloadPtr& m) override;
   void on_timer(sim::Context& ctx, std::uint64_t tag) override;
 
+  /// One wire message as plain fields. The payload classes stay private
+  /// to the .cpp; encode() builds the payload a field set describes and
+  /// decode() reads one back (nullopt for a payload this engine never
+  /// sends), so tests can script deliveries and compare sends. `value` is
+  /// the vote (nullopt = nil) or, for kEst and kDecided, the bit;
+  /// `valid_round` is used by kProposal, `step` and `sig` by kVoteSig.
+  struct Wire {
+    enum class Kind { kEst, kProposal, kPrevote, kPrecommit, kDecided,
+                      kVoteSig };
+    Kind kind = Kind::kEst;
+    std::int64_t round = 0;
+    std::optional<bool> value;
+    std::int64_t valid_round = -1;
+    std::uint32_t step = 0;
+    crypto::Signature sig;
+  };
+  [[nodiscard]] static sim::PayloadPtr encode(const Wire& wire);
+  [[nodiscard]] static std::optional<Wire> decode(const sim::Payload& payload);
+
  private:
   enum class Step { kPropose, kPrevote, kPrecommit };
 
@@ -91,24 +128,37 @@ class BinaryConsensus final : public sim::Component {
   static constexpr std::uint32_t kStepPrevote = 0;
   static constexpr std::uint32_t kStepPrecommit = 1;
 
+  // Voter sets per vote value, indexed by vote_slot(): nil, 0, 1.
+  using VoteTally = std::array<crypto::VoterBitset, 3>;
+
   struct RoundState {
-    std::optional<std::pair<bool, std::int64_t>> proposal;  // (v, validRound)
-    bool proposal_seen = false;
-    bool proposal_sent = false;
-    // prevotes / precommits: value -> senders; nullopt = nil.
-    std::map<std::optional<bool>, std::set<ProcessId>> prevotes;
-    std::map<std::optional<bool>, std::set<ProcessId>> precommits;
-    std::set<ProcessId> participants;  // senders of any message this round
+    explicit RoundState(int n);
+
+    /// The round proposer's (value, validRound); only the first proposal
+    /// counts.
+    std::optional<std::pair<bool, std::int64_t>> proposal;
+    bool proposal_seen = false;  // `proposal` is set
+    bool proposal_sent = false;  // we proposed in this round
+    VoteTally prevotes;    // who prevoted each value in this round
+    VoteTally precommits;  // who precommitted each value in this round
+    crypto::VoterBitset participants;  // senders of any vote or proposal
   };
 
+  [[nodiscard]] static std::size_t vote_slot(std::optional<bool> v) {
+    return v.has_value() ? (*v ? 2 : 1) : 0;
+  }
   [[nodiscard]] ProcessId proposer_of(std::int64_t round, int n) const {
     return static_cast<ProcessId>(round % n);
   }
   [[nodiscard]] bool justified(bool v, sim::Context& ctx) const;
   [[nodiscard]] int count_prevotes(std::int64_t round,
                                    std::optional<bool> v) const;
-  [[nodiscard]] int count_precommits(std::int64_t round,
-                                     std::optional<bool> v) const;
+  /// The round's state, created empty on first touch.
+  RoundState& round_state(std::int64_t round, int n);
+  /// Records `from`'s vote for `v` at `step` (kStepPrevote or
+  /// kStepPrecommit) of `round`, and keeps the quorum records current.
+  void tally_vote(sim::Context& ctx, std::uint32_t step, std::int64_t round,
+                  RoundState& rs, std::optional<bool> v, ProcessId from);
 
   void start_round(sim::Context& ctx, std::int64_t round);
   void maybe_send_proposal(sim::Context& ctx);
@@ -150,7 +200,16 @@ class BinaryConsensus final : public sim::Component {
   std::int64_t valid_round_ = -1;
 
   std::map<std::int64_t, RoundState> rounds_;
-  std::set<ProcessId> est_senders_[2];  // who announced 0 / 1
+  std::array<crypto::VoterBitset, 2> est_senders_;  // who announced 0 / 1
+
+  // Quorum records, updated whenever a vote lands in a tally:
+  //  * first_precommit_quorum_ is the least (round, bit), in (round, bit)
+  //    order, whose precommits reached 2t+1: the bit the decide rule picks;
+  //  * last_prevote_quorum_ is the highest round whose prevotes reached
+  //    2t+1 for a bit, with that bit (0 when both did): what validValue
+  //    and validRound become once that round exceeds validRound.
+  std::optional<std::pair<std::int64_t, bool>> first_precommit_quorum_;
+  std::optional<std::pair<std::int64_t, bool>> last_prevote_quorum_;
 
   // Termination gadget: deciders broadcast DECIDED and keep participating
   // (a Byzantine vote can complete a quorum for a single process only, so
@@ -158,7 +217,7 @@ class BinaryConsensus final : public sim::Component {
   // t+1 matching DECIDEDs are a decision (at least one correct decider);
   // n-t DECIDEDs for the decided value mean every correct process is done,
   // so the instance halts and stops scheduling timers.
-  std::set<ProcessId> decided_senders_[2];
+  std::array<crypto::VoterBitset, 2> decided_senders_;
   bool halted_ = false;
 };
 

@@ -1,6 +1,5 @@
 #include "valcon/crypto/signatures.hpp"
 
-#include <bit>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -18,30 +17,11 @@ std::uint64_t truncate(const Hash& h) {
 
 VoterBitset::VoterBitset(int n) : n_(n) {
   if (n < 1) throw std::invalid_argument("VoterBitset: need n >= 1");
-  words_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  if (word_count() > kInlineWords) heap_.assign(word_count(), 0);
 }
 
-void VoterBitset::set(ProcessId id) {
-  if (id < 0 || id >= n_) {
-    throw std::out_of_range("VoterBitset::set: id outside [0, n)");
-  }
-  words_[static_cast<std::size_t>(id) / 64] |=
-      std::uint64_t{1} << (static_cast<std::size_t>(id) % 64);
-}
-
-bool VoterBitset::test(ProcessId id) const {
-  if (id < 0 || id >= n_) return false;
-  return (words_[static_cast<std::size_t>(id) / 64] >>
-          (static_cast<std::size_t>(id) % 64)) &
-         1;
-}
-
-int VoterBitset::count() const {
-  int total = 0;
-  for (const std::uint64_t word : words_) {
-    total += std::popcount(word);
-  }
-  return total;
+void VoterBitset::throw_out_of_range() {
+  throw std::out_of_range("VoterBitset: id outside [0, n)");
 }
 
 std::optional<AggregateSignature> aggregate(

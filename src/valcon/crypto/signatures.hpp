@@ -31,10 +31,13 @@
 // AggregateSignature is one word plus the bitset's ceil(n/64) words.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "valcon/common.hpp"
@@ -59,11 +62,16 @@ struct ThresholdSignature {
   bool operator==(const ThresholdSignature&) const = default;
 };
 
-/// Dense voter set for aggregate verification: bit i is process i, packed
-/// into ceil(n/64) uint64 words. The capacity n travels with the bitset so
-/// a verifier can reject a certificate whose voter universe does not match
-/// its registry (a truncated or widened bitset is a forgery, not a format
-/// variant).
+/// Dense voter set: bit i is process i, packed into ceil(n/64) uint64
+/// words. Certificates carry one for aggregate verification, and the
+/// protocol layer keeps its vote tallies in them. The capacity n travels
+/// with the bitset so a verifier can reject a certificate whose voter
+/// universe does not match its registry (a truncated or widened bitset is
+/// a forgery, not a format variant).
+///
+/// Up to two words (n <= 128) live inside the object, so building
+/// and filling a small set never touches the heap. The set-bit count is
+/// kept on every insert, so count() is O(1).
 class VoterBitset {
  public:
   VoterBitset() = default;
@@ -74,24 +82,58 @@ class VoterBitset {
   [[nodiscard]] int capacity() const { return n_; }
 
   /// Sets bit `id`. Throws std::out_of_range outside [0, capacity()).
-  void set(ProcessId id);
+  void set(ProcessId id) { static_cast<void>(insert(id)); }
+
+  /// Sets bit `id` and returns true iff it was clear. Throws
+  /// std::out_of_range outside [0, capacity()).
+  bool insert(ProcessId id) {
+    if (id < 0 || id >= n_) throw_out_of_range();
+    std::uint64_t& word = data()[static_cast<std::size_t>(id) / 64];
+    const std::uint64_t bit = std::uint64_t{1}
+                              << (static_cast<std::size_t>(id) % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    ++count_;
+    return true;
+  }
 
   /// Tests bit `id`; ids outside [0, capacity()) read as false.
-  [[nodiscard]] bool test(ProcessId id) const;
+  [[nodiscard]] bool test(ProcessId id) const {
+    if (id < 0 || id >= n_) return false;
+    return ((data()[static_cast<std::size_t>(id) / 64] >>
+             (static_cast<std::size_t>(id) % 64)) &
+            1) != 0;
+  }
 
   /// Number of set bits.
-  [[nodiscard]] int count() const;
+  [[nodiscard]] int count() const { return count_; }
 
   /// The packed words, for wire-size accounting (one word each).
-  [[nodiscard]] const std::vector<std::uint64_t>& words() const {
-    return words_;
+  [[nodiscard]] std::span<const std::uint64_t> words() const {
+    return {data(), word_count()};
   }
 
   bool operator==(const VoterBitset&) const = default;
 
  private:
+  static constexpr std::size_t kInlineWords = 2;
+
+  [[nodiscard]] std::size_t word_count() const {
+    return (static_cast<std::size_t>(n_) + 63) / 64;
+  }
+  [[nodiscard]] bool spilled() const { return !heap_.empty(); }
+  [[nodiscard]] std::uint64_t* data() {
+    return spilled() ? heap_.data() : inline_.data();
+  }
+  [[nodiscard]] const std::uint64_t* data() const {
+    return spilled() ? heap_.data() : inline_.data();
+  }
+  [[noreturn]] static void throw_out_of_range();
+
   int n_ = 0;
-  std::vector<std::uint64_t> words_;
+  int count_ = 0;
+  std::array<std::uint64_t, kInlineWords> inline_{};
+  std::vector<std::uint64_t> heap_;  // the words when n > 64 * kInlineWords
 };
 
 /// One aggregated signature over `digest` by the processes named in a

@@ -73,6 +73,24 @@ TEST(VoterBitset, PacksCeilNOver64Words) {
   EXPECT_FALSE(b.test(1));
 }
 
+TEST(VoterBitset, InsertReportsNewBitsAndKeepsTheCount) {
+  // 128 voters fit the inline words; 129 spill to the heap.
+  for (const int n : {7, 128, 129, 300}) {
+    crypto::VoterBitset b(n);
+    EXPECT_TRUE(b.insert(n - 1)) << n;
+    EXPECT_FALSE(b.insert(n - 1)) << n;
+    EXPECT_TRUE(b.insert(0)) << n;
+    b.set(0);
+    EXPECT_EQ(b.count(), 2) << n;
+    EXPECT_THROW(b.insert(n), std::out_of_range) << n;
+    EXPECT_EQ(b.words().size(), static_cast<std::size_t>((n + 63) / 64));
+    const crypto::VoterBitset copy = b;
+    EXPECT_EQ(copy, b) << n;
+    EXPECT_TRUE(copy.test(n - 1)) << n;
+    EXPECT_NE(copy, crypto::VoterBitset(n)) << n;
+  }
+}
+
 // -------------------------------------------------------------- aggregate
 
 TEST(Aggregate, RejectsEmptyMixedDigestAndDuplicateSigner) {

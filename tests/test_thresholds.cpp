@@ -1,8 +1,9 @@
 // Pins core::thresholds: the value table at the paper's boundary
 // regimes, the input-validation throws, and — the load-bearing check —
-// that routing every protocol comparison through the helpers left the
-// pinned full-matrix sweep document byte-identical (tests/golden/
-// full.sha256). A threshold off-by-one anywhere in consensus/ or
+// that the protocol layer's behaviour stays byte-identical: the five
+// named sweep matrices and one unsound-regime search report must hash to
+// the digests committed under tests/golden/. A threshold off-by-one (or
+// any other change to when a quorum fires) anywhere in consensus/ or
 // bcast/ changes decision timing or outcomes and shows up here as a
 // digest mismatch.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "valcon/core/thresholds.hpp"
 #include "valcon/crypto/sha256.hpp"
+#include "valcon/harness/search.hpp"
 #include "valcon/harness/sweep.hpp"
 #include "valcon/harness/sweep_io.hpp"
 
@@ -108,20 +110,17 @@ TEST(Thresholds, AcceptsFullByzantineBoundary) {
   EXPECT_FALSE(byz_resilient(3, 3));
 }
 
-// -------------------------------------------- sweep-level golden pin
+// ------------------------------------------------------ golden pins
 
-// Rebuilds the full-matrix sweep document in-process exactly the way
-// valcon_sweep emits it (header, comma-separated outcome lines in
-// index order, footer) and compares its SHA-256 against the committed
-// golden. This is the acceptance gate for the thresholds refactor:
-// same bytes means every quorum decision fired at the same instant
-// with the same outcome as before the helpers existed.
-TEST(Thresholds, FullMatrixSweepDocumentMatchesCommittedGolden) {
-  const harness::ScenarioMatrix matrix = harness::named_matrix("full");
+// Rebuilds a named matrix's sweep document in-process exactly the way
+// valcon_sweep emits it (header, comma-separated outcome lines in index
+// order, footer).
+std::string sweep_document(const std::string& name) {
+  const harness::ScenarioMatrix matrix = harness::named_matrix(name);
   const std::size_t total = matrix.size();
 
   std::ostringstream doc;
-  harness::io::document_header(doc, "full", std::nullopt, total);
+  harness::io::document_header(doc, name, std::nullopt, total);
   harness::io::JsonSummary summary;
   const harness::SweepRunner runner(4);
   runner.run_range(matrix, 0, total, [&](harness::SweepOutcome&& o) {
@@ -130,8 +129,25 @@ TEST(Thresholds, FullMatrixSweepDocumentMatchesCommittedGolden) {
     doc << line << (o.point.index + 1 < total ? ",\n" : "\n");
   });
   harness::io::document_footer(doc, summary);
+  return doc.str();
+}
 
-  const std::string text = doc.str();
+// The report of `valcon_search --search-seed 42 --budget 256
+// --sizes 4/2,3/1 --cert-modes per-vote,aggregate`: default pools at
+// unsound sizes, where 2t+1 can exceed n, cells run to the horizon and
+// the shrinker replays every counterexample it finds.
+std::string search_document() {
+  harness::SearchOptions options;
+  options.search_seed = 42;
+  options.budget = 256;
+  options.jobs = 4;
+  options.space.sizes = {{4, 2}, {3, 1}};
+  options.space.cert_modes = {core::CertMode::kPerVote,
+                              core::CertMode::kAggregate};
+  return harness::report_json(harness::run_search(options));
+}
+
+std::string sha256_hex(const std::string& text) {
   const crypto::Sha256::Digest digest =
       crypto::Sha256::hash(text.data(), text.size());
   std::string hex;
@@ -140,16 +156,38 @@ TEST(Thresholds, FullMatrixSweepDocumentMatchesCommittedGolden) {
     hex.push_back(kHex[byte >> 4]);
     hex.push_back(kHex[byte & 0xf]);
   }
-
-  std::ifstream golden(std::string(VALCON_GOLDEN_DIR) + "/full.sha256");
-  ASSERT_TRUE(golden.is_open()) << "missing tests/golden/full.sha256";
-  std::string expected;
-  golden >> expected;  // first token: the hex digest
-  ASSERT_EQ(expected.size(), 64U);
-  EXPECT_EQ(hex, expected)
-      << "the full-matrix sweep document changed bytes; if that is"
-         " intentional, refresh tests/golden/full.sha256";
+  return hex;
 }
+
+// One pinned document per name: the five named matrices, then the
+// search report. tests/golden/<name>.sha256 holds its digest (first
+// token).
+class GoldenDocument : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenDocument, MatchesCommittedDigest) {
+  const std::string& name = GetParam();
+  const std::string text =
+      name == "search" ? search_document() : sweep_document(name);
+
+  const std::string path =
+      std::string(VALCON_GOLDEN_DIR) + "/" + name + ".sha256";
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.is_open()) << "missing " << path;
+  std::string expected;
+  golden >> expected;
+  ASSERT_EQ(expected.size(), 64U);
+  EXPECT_EQ(sha256_hex(text), expected)
+      << "the " << name << " document changed bytes; if that is"
+      << " intentional, refresh " << path;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, GoldenDocument,
+    ::testing::Values("full", "byzantine", "validity", "certs", "committee",
+                      "search"),
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      return param_info.param;
+    });
 
 }  // namespace
 }  // namespace valcon
