@@ -49,12 +49,12 @@ void ReliableBroadcast::on_message(sim::Context& ctx, ProcessId from,
   }
   const auto* msg = dynamic_cast<const Msg*>(m.get());
   if (msg == nullptr) return;
-  const crypto::Hash digest = content_digest(msg->content);
 
   switch (msg->kind) {
-    case Msg::Kind::kSend:
+    case Msg::Kind::kSend: {
       if (from != sender_ || echoed_) return;
       echoed_ = true;
+      const crypto::Hash digest = digest_of(msg->content);
       contents_.emplace(digest, msg->content);
       if (cert_mode_ == core::CertMode::kAggregate) {
         // Batched votes: one signed echo to the sender instead of an
@@ -76,17 +76,29 @@ void ReliableBroadcast::on_message(sim::Context& ctx, ProcessId from,
       ctx.broadcast(sim::make_payload<Msg>(Msg::Kind::kEcho, msg->content,
                                            content_words_));
       break;
-    case Msg::Kind::kEcho:
+    }
+    case Msg::Kind::kEcho: {
       if (cert_mode_ == core::CertMode::kAggregate) return;
+      const crypto::Hash digest = digest_of(msg->content);
       contents_.emplace(digest, msg->content);
       echoes_[digest].insert(from);
       break;
-    case Msg::Kind::kReady:
+    }
+    case Msg::Kind::kReady: {
+      const crypto::Hash digest = digest_of(msg->content);
       contents_.emplace(digest, msg->content);
       readies_[digest].insert(from);
       break;
+    }
   }
   maybe_progress(ctx);
+}
+
+crypto::Hash ReliableBroadcast::digest_of(const Content& content) const {
+  for (const auto& [digest, held] : contents_) {
+    if (held == content) return digest;
+  }
+  return content_digest(content);
 }
 
 void ReliableBroadcast::maybe_certify(sim::Context& ctx) {
@@ -109,7 +121,7 @@ void ReliableBroadcast::on_echo_cert(sim::Context& ctx,
   if (qc.tag != kTagEchoCert) return;
   // Recompute the vote digest from the carried content: a certificate is
   // only as good as the digest the receiver derives itself.
-  const crypto::Hash digest = content_digest(qc.body);
+  const crypto::Hash digest = digest_of(qc.body);
   if (qc.agg.digest != echo_vote_digest(sender_, digest)) return;
   if (qc.voters.count() < core::brb_echo_quorum(ctx.n(), ctx.t())) return;
   if (!ctx.keys().verify_aggregate(qc.voters, qc.agg)) return;

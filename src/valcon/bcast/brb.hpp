@@ -101,6 +101,12 @@ class ReliableBroadcast final : public sim::Component {
   /// Tag for the echo-quorum certificate this instance broadcasts.
   static constexpr std::uint32_t kTagEchoCert = 1;
 
+  /// The content digest of `content`. Every correct process relays the
+  /// sender's one content, so the bytes nearly always match an entry of
+  /// contents_ already, whose digest is reused; only content not seen
+  /// before is hashed.
+  [[nodiscard]] crypto::Hash digest_of(const Content& content) const;
+
   void maybe_progress(sim::Context& ctx);
   void maybe_certify(sim::Context& ctx);
   void on_echo_cert(sim::Context& ctx,

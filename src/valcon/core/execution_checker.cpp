@@ -1,5 +1,7 @@
 #include "valcon/core/execution_checker.hpp"
 
+#include <utility>
+
 namespace valcon::core {
 
 ExecutionReport check_execution(const ValidityProperty& val, int n, int t,
@@ -41,10 +43,17 @@ ExecutionReport check_execution(const ValidityProperty& val, int n, int t,
     seen = v;
   }
 
+  // admissible() may scan the whole configuration (Strong validity's
+  // unanimity test is O(n)), and correct processes nearly always decide
+  // one value, so judge each run of equal decided values once.
   report.validity = true;
+  std::optional<std::pair<Value, bool>> last_verdict;
   for (const auto& [p, v] : decisions) {
     if (faulty.count(p) != 0) continue;
-    if (!val.admissible(report.input_config, v)) {
+    if (!last_verdict.has_value() || last_verdict->first != v) {
+      last_verdict.emplace(v, val.admissible(report.input_config, v));
+    }
+    if (!last_verdict->second) {
       report.validity = false;
       report.violations.push_back(
           "Validity(" + val.name() + "): P" + std::to_string(p) +

@@ -1,5 +1,6 @@
 #include "valcon/crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace valcon::crypto {
@@ -23,42 +24,58 @@ constexpr std::uint32_t rotr(std::uint32_t x, unsigned s) {
   return (x >> s) | (x << (32 - s));
 }
 
+thread_local HashCounters t_hash_counters;
+
 }  // namespace
+
+HashCounters& hash_counters() { return t_hash_counters; }
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(const void* data, std::size_t len) {
+  if (len == 0) return;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   total_len_ += len;
-  while (len > 0) {
-    const std::size_t take =
-        std::min(len, buffer_.size() - buffer_len_);
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min(len, kBlockSize - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, bytes, take);
     buffer_len_ += take;
     bytes += take;
     len -= take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < kBlockSize) return;
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  // Whole blocks compress straight from the input.
+  for (; len >= kBlockSize; bytes += kBlockSize, len -= kBlockSize) {
+    process_block(bytes);
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), bytes, len);
+    buffer_len_ = len;
   }
 }
 
 Sha256::Digest Sha256::digest() {
+  ++t_hash_counters.digests;
+  // Padding: 0x80, zeros up to byte 56 of the last block, then the
+  // message length in bits, big-endian. The 0x80 byte and the length need
+  // 9 bytes; with fewer left in the buffer they spill into an extra block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[static_cast<std::size_t>(i)] =
+  constexpr std::size_t kLengthAt = 56;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kLengthAt) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, kLengthAt - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[kLengthAt + i] =
         static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Bypass total_len_ accounting for the length suffix: feed directly.
-  std::memcpy(buffer_.data() + buffer_len_, len_bytes.data(), 8);
   process_block(buffer_.data());
   buffer_len_ = 0;
 
@@ -77,6 +94,7 @@ Sha256::Digest Sha256::digest() {
 }
 
 void Sha256::process_block(const std::uint8_t* block) {
+  ++t_hash_counters.blocks;
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[static_cast<std::size_t>(i)] =

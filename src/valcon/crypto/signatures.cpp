@@ -1,11 +1,20 @@
 #include "valcon/crypto/signatures.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
+
+#include "valcon/crypto/siphash.hpp"
 
 namespace valcon::crypto {
 
 namespace {
+
+// The second half of each MAC key: ASCII "valcon/s" and "valcon/t". They
+// keep a process's signature tags and the threshold tags apart even if a
+// process secret ever equalled the root secret.
+constexpr std::uint64_t kSignatureDomain = 0x76616c636f6e2f73;
+constexpr std::uint64_t kThresholdDomain = 0x76616c636f6e2f74;
 
 std::uint64_t truncate(const Hash& h) {
   std::uint64_t out = 0;
@@ -45,6 +54,10 @@ VerifyCounters& verify_counters() {
 
 KeyRegistry::KeyRegistry(int n, int k, std::uint64_t seed)
     : n_(n), k_(k), seed_(seed) {
+  if (n < 1 || k < 1 || k > n) {
+    throw std::invalid_argument("KeyRegistry: need 1 <= k <= n, got n=" +
+                                std::to_string(n) + " k=" + std::to_string(k));
+  }
   root_secret_ =
       truncate(Hasher("valcon/root-secret").add(seed).finish());
   // Per-process secrets are derived on first use (secret_for); the slot
@@ -67,16 +80,13 @@ std::uint64_t KeyRegistry::secret_for(ProcessId id) const {
 }
 
 std::uint64_t KeyRegistry::mac_for(ProcessId id, const Hash& digest) const {
-  return truncate(
-      Hasher("valcon/sig").add(secret_for(id)).add(digest).finish());
+  return siphash24(secret_for(id), kSignatureDomain, digest.bytes);
 }
 
 std::uint64_t KeyRegistry::threshold_mac(const Hash& digest) const {
-  return truncate(Hasher("valcon/tsig")
-                      .add(root_secret_)
-                      .add(static_cast<std::int64_t>(k_))
-                      .add(digest)
-                      .finish());
+  return siphash24(root_secret_,
+                   kThresholdDomain ^ static_cast<std::uint64_t>(k_),
+                   digest.bytes);
 }
 
 bool KeyRegistry::verify(const Signature& sig) const {
@@ -120,6 +130,10 @@ bool KeyRegistry::verify_aggregate(const VoterBitset& voters,
 }
 
 Signer KeyRegistry::signer_for(ProcessId id) const {
+  if (id < 0 || id >= n_) {
+    throw std::out_of_range("KeyRegistry: signer id " + std::to_string(id) +
+                            " outside [0, " + std::to_string(n_) + ")");
+  }
   return Signer(this, id);
 }
 

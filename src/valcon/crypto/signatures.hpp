@@ -4,17 +4,30 @@
 // of correct processes (Section 3.1), and Quad / vector dissemination use a
 // (n-t, n)-threshold signature scheme (Appendix B.3). Real asymmetric
 // cryptography is irrelevant to any claim in the paper, so we substitute a
-// registry-backed MAC construction:
+// registry-backed MAC construction over the 32-byte SHA-256 digest d:
 //
-//   sig(i, d)   = SHA256(secret_i || d)            -- per-process secret
-//   tsig(d)     = SHA256(root_secret || k || d)    -- emitted only by combine()
+//   sig(i, d)   = SipHash-2-4 keyed (secret_i, D_sig)         -- per process
+//   tsig(d)     = SipHash-2-4 keyed (root_secret, D_tsig ^ k)  -- combine()
 //   agg(S, d)   = sum over i in S of sig(i, d)  (mod 2^64)
 //
-// Secrets never leave the registry; processes interact through a Signer
-// handle bound to their own identity, so a Byzantine process implemented in
-// this codebase is structurally unable to sign for anyone else. combine()
-// refuses to emit a threshold signature unless presented with k valid partial
-// signatures from k distinct signers, mirroring the real scheme's guarantee.
+// D_sig and D_tsig are fixed domain constants; each secret is derived
+// once, with SHA-256, from (seed, id) or from the seed alone.
+//
+// Why a 64-bit keyed PRF is enough: a tag only has to be unguessable to
+// code that does not hold the key, and no code outside the registry ever
+// holds one. Secrets never leave the registry; processes interact through
+// a Signer handle bound to their own identity, and only the registry can
+// make one, so a Byzantine process implemented in this codebase is
+// structurally unable to sign for anyone else. Tags are 64 bits, so a
+// blind guess passes with probability 2^-64. SipHash-2-4 is a PRF built
+// for short inputs, and one pass over the digest costs far less than a
+// SHA-256 compression. No outcome byte depends on tag values: the six
+// tests/golden/ digests, pinned under a truncated SHA-256 MAC, hold
+// unchanged under SipHash.
+//
+// combine() refuses to emit a threshold signature unless presented with k
+// valid partial signatures from k distinct signers, mirroring the real
+// scheme's guarantee.
 //
 // The aggregatable scheme (VoterBitset + AggregateSignature) is the second
 // backend: aggregate() folds any set of same-digest partials into one
@@ -158,7 +171,8 @@ struct AggregateSignature {
 /// as verifies_per_decision. Every KeyRegistry verify path bumps exactly
 /// one counter; run_universal snapshots the thread's counters around a run
 /// (each sweep cell runs on one thread), so the delta is a deterministic
-/// function of (configuration, seed) at any job count.
+/// function of (configuration, seed) at any job count. hash_counters()
+/// (sha256.hpp) is the matching tally of SHA-256 work.
 struct VerifyCounters {
   std::uint64_t signature = 0;
   std::uint64_t threshold = 0;
@@ -185,7 +199,8 @@ class Signer;
 /// double-derivation writes the identical value.
 class KeyRegistry {
  public:
-  /// `k` is the combining threshold (the paper uses k = n - t).
+  /// `k` is the combining threshold (the paper uses k = n - t). Throws
+  /// std::invalid_argument unless 1 <= k <= n.
   KeyRegistry(int n, int k, std::uint64_t seed);
 
   [[nodiscard]] int n() const { return n_; }
@@ -219,7 +234,8 @@ class KeyRegistry {
                                       const AggregateSignature& agg) const;
 
   /// Returns the signer handle for process `id`. The handle only signs with
-  /// `id`'s key: this is the structural unforgeability boundary.
+  /// `id`'s key: this is the structural unforgeability boundary. Throws
+  /// std::out_of_range outside [0, n).
   [[nodiscard]] Signer signer_for(ProcessId id) const;
 
   /// How many per-process secrets have been derived so far. Purely an
@@ -254,16 +270,18 @@ class KeyRegistry {
   mutable std::atomic<std::uint64_t> derivations_{0};
 };
 
-/// Per-process signing capability.
+/// Per-process signing capability, made only by KeyRegistry::signer_for.
 class Signer {
  public:
-  Signer(const KeyRegistry* registry, ProcessId id)
-      : registry_(registry), id_(id) {}
-
   [[nodiscard]] ProcessId id() const { return id_; }
   [[nodiscard]] Signature sign(const Hash& digest) const;
 
  private:
+  friend class KeyRegistry;
+
+  Signer(const KeyRegistry* registry, ProcessId id)
+      : registry_(registry), id_(id) {}
+
   const KeyRegistry* registry_;
   ProcessId id_;
 };

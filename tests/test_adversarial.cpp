@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "valcon/core/execution_checker.hpp"
 #include "valcon/harness/scenario.hpp"
@@ -179,6 +181,42 @@ TEST(ExecutionChecker, FlagsValidityViolation) {
   EXPECT_FALSE(report.validity);
   EXPECT_TRUE(report.agreement);
   ASSERT_FALSE(report.violations.empty());
+}
+
+/// Strong validity that counts its admissible() calls.
+class CountingStrong final : public ValidityProperty {
+ public:
+  [[nodiscard]] std::string name() const override { return "Strong"; }
+  [[nodiscard]] bool admissible(const InputConfig& c,
+                                Value v) const override {
+    ++calls;
+    return StrongValidity().admissible(c, v);
+  }
+  mutable int calls = 0;
+};
+
+TEST(ExecutionChecker, JudgesEachRunOfEqualValuesOnceButReportsEachProcess) {
+  const CountingStrong validity;
+  const std::map<ProcessId, Value> decisions = {
+      {0, 6}, {1, 6}, {2, 5}, {3, 6}};
+  const auto report =
+      check_execution(validity, 4, 1, {5, 5, 5, 5}, {}, decisions);
+  EXPECT_EQ(validity.calls, 3);  // runs 6,6 | 5 | 6
+  EXPECT_FALSE(report.validity);
+  const std::vector<std::string> validity_violations(
+      report.violations.end() - 3, report.violations.end());
+  const std::string conf = "{(P0,5), (P1,5), (P2,5), (P3,5)}";
+  EXPECT_EQ(validity_violations,
+            (std::vector<std::string>{
+                "Validity(Strong): P0 decided 6 not in val(" + conf + ")",
+                "Validity(Strong): P1 decided 6 not in val(" + conf + ")",
+                "Validity(Strong): P3 decided 6 not in val(" + conf + ")"}));
+
+  const CountingStrong unanimous;
+  const auto clean = check_execution(unanimous, 4, 1, {5, 5, 5, 5}, {},
+                                     {{0, 5}, {1, 5}, {2, 5}, {3, 5}});
+  EXPECT_EQ(unanimous.calls, 1);
+  EXPECT_TRUE(clean.ok());
 }
 
 TEST(ExecutionChecker, FlagsMissingDecision) {
