@@ -248,7 +248,7 @@ RunResult run_universal(const ScenarioConfig& cfg,
         [&make_stack](Value v) {
           return make_stack(v, /*record=*/false, /*is_correct=*/false);
         },
-        /*shared=*/&shared,
+        /*shared=*/shared,
     };
     simulator.add_process(
         p, StrategyRegistry::global().make(fault->second.strategy)->build(env));

@@ -1,5 +1,7 @@
 #include "valcon/harness/strategy.hpp"
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -12,9 +14,16 @@ namespace valcon::harness {
 
 namespace {
 
+using Hooks = sim::FilterShim::Hooks;
+using Verdict = sim::FilterShim::Verdict;
+
 [[noreturn]] void bad_param(const std::string& strategy,
                             const std::string& what) {
   throw std::invalid_argument("strategy '" + strategy + "': " + what);
+}
+
+bool contains(const std::vector<ProcessId>& set, ProcessId p) {
+  return std::find(set.begin(), set.end(), p) != set.end();
 }
 
 /// "silent" — no computational steps at all (canonical executions, §3.1).
@@ -29,8 +38,9 @@ class SilentStrategy final : public Strategy {
 class CrashStrategy final : public Strategy {
  public:
   std::unique_ptr<sim::Process> build(const StrategyEnv& env) const override {
-    return std::make_unique<sim::CrashShim>(
-        env.recorded_stack(env.own_proposal()), env.fault.crash_time);
+    return std::make_unique<sim::FilterShim>(
+        env.recorded_stack(env.own_proposal()),
+        Hooks{.stop = env.fault.crash_time});
   }
   void validate(const Fault& fault, const ScenarioConfig&) const override {
     if (fault.crash_time < 0) bad_param("crash", "crash_time must be >= 0");
@@ -45,10 +55,10 @@ class EquivocateStrategy final : public Strategy {
  public:
   std::unique_ptr<sim::Process> build(const StrategyEnv& env) const override {
     const int half = env.cfg.n / 2;
-    return std::make_unique<sim::TwoFacedProcess>(
+    return std::make_unique<sim::FacedProcess>(
         env.shadow_stack(env.own_proposal()),
         env.shadow_stack(env.fault.equivocal_value),
-        [half](ProcessId q) { return q < half ? 0 : 1; });
+        [half](ProcessId q, Time) { return q < half ? 0 : 1; });
   }
 };
 
@@ -74,12 +84,35 @@ class DelayStrategy final : public Strategy {
 class MutateStrategy final : public Strategy {
  public:
   std::unique_ptr<sim::Process> build(const StrategyEnv& env) const override {
-    return std::make_unique<sim::MutatingShim>(
-        env.recorded_stack(env.own_proposal()), env.fault.mutate_rate);
+    return std::make_unique<sim::FilterShim>(
+        env.recorded_stack(env.own_proposal()),
+        Hooks{.outbound = [rate = env.fault.mutate_rate](
+                              sim::Context& ctx, ProcessId,
+                              sim::PayloadPtr& payload) {
+          return tamper(ctx.rng(), rate, payload);
+        }});
   }
   void validate(const Fault& fault, const ScenarioConfig&) const override {
     if (fault.mutate_rate < 0.0 || fault.mutate_rate > 1.0) {
       bad_param("mutate", "mutate_rate must be in [0, 1]");
+    }
+  }
+
+ private:
+  /// Tampers with one send with probability `rate`: drops it, replaces it
+  /// by a GarbagePayload of the same word size, or sends it twice, chosen
+  /// uniformly. Draws `uniform` for every send, then `next_below(3)` only
+  /// for a tampered one.
+  static Verdict tamper(sim::Rng& rng, double rate, sim::PayloadPtr& payload) {
+    if (rng.uniform(0.0, 1.0) >= rate) return Verdict::kPass;
+    switch (rng.next_below(3)) {
+      case 0:  // omission
+        return Verdict::kDrop;
+      case 1:  // corruption
+        payload = sim::make_payload<sim::GarbagePayload>(payload->size_words());
+        return Verdict::kReplace;
+      default:  // duplication
+        return Verdict::kDuplicate;
     }
   }
 };
@@ -94,13 +127,39 @@ class ScheduledEquivocateStrategy final : public Strategy {
     const Time switch_at =
         env.fault.switch_time >= 0 ? env.fault.switch_time : env.cfg.gst;
     const int half = env.cfg.n / 2;
-    return std::make_unique<sim::TwoFacedProcess>(
+    return std::make_unique<sim::FacedProcess>(
         env.shadow_stack(env.own_proposal()),
         env.shadow_stack(env.fault.equivocal_value),
-        sim::TwoFacedProcess::TimedSide(
-            [half, switch_at](ProcessId q, Time now) {
-              return (now >= switch_at && q >= half) ? 1 : 0;
-            }));
+        [half, switch_at](ProcessId q, Time now) {
+          return (now >= switch_at && q >= half) ? 1 : 0;
+        });
+  }
+};
+
+/// Victim choice of one "adaptive" process: counts inbound deliveries per
+/// sender until `observe` of them have arrived, then picks the `victims`
+/// most talkative senders (ties broken towards lower ids) — an adversary
+/// that targets whoever is driving progress. The choice depends only on the
+/// delivery order, so it is deterministic per (config, seed).
+struct AdaptivePick {
+  int victims;
+  int observe;  // deliveries still to watch before picking
+  std::map<ProcessId, std::uint64_t> counts;
+  std::vector<ProcessId> chosen;
+
+  void watch(ProcessId from) {
+    if (observe <= 0) return;
+    ++counts[from];
+    if (--observe > 0) return;
+    std::vector<std::pair<ProcessId, std::uint64_t>> ranked(counts.begin(),
+                                                            counts.end());
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return a.first < b.first;
+    });
+    const auto k = std::min<std::size_t>(ranked.size(),
+                                         static_cast<std::size_t>(victims));
+    for (std::size_t i = 0; i < k; ++i) chosen.push_back(ranked[i].first);
   }
 };
 
@@ -110,13 +169,28 @@ class ScheduledEquivocateStrategy final : public Strategy {
 class AdaptiveStrategy final : public Strategy {
  public:
   std::unique_ptr<sim::Process> build(const StrategyEnv& env) const override {
-    return std::make_unique<sim::AdaptiveOmitShim>(
-        env.recorded_stack(env.own_proposal()), env.fault.victims,
-        env.fault.observe);
+    auto pick = std::make_shared<AdaptivePick>(
+        AdaptivePick{env.fault.victims, env.fault.observe, {}, {}});
+    return std::make_unique<sim::FilterShim>(
+        env.recorded_stack(env.own_proposal()),
+        Hooks{.inbound = [pick](sim::Context&, ProcessId from,
+                                const sim::PayloadPtr&) {
+                pick->watch(from);
+                return true;
+              },
+              .outbound = [pick](sim::Context&, ProcessId to,
+                                 sim::PayloadPtr&) {
+                return contains(pick->chosen, to) ? Verdict::kDrop
+                                                  : Verdict::kPass;
+              }});
   }
   void validate(const Fault& fault, const ScenarioConfig&) const override {
     if (fault.victims < 0) bad_param("adaptive", "victims must be >= 0");
-    if (fault.observe < 0) bad_param("adaptive", "observe must be >= 0");
+    if (fault.observe < 1) {
+      bad_param("adaptive",
+                "observe must be >= 1: victims are picked from the senders "
+                "of the first `observe` deliveries, so 0 would pick none");
+    }
   }
 };
 
@@ -135,7 +209,7 @@ struct CollusionPlan {
 /// are split lower-half / upper-half into sides 0 and 1.
 std::shared_ptr<CollusionPlan> collusion_plan(const StrategyEnv& env,
                                               const char* strategy_name) {
-  auto plan = env.shared_state().get_or_make<CollusionPlan>(
+  auto plan = env.shared.get_or_make<CollusionPlan>(
       std::string(strategy_name) + "/plan");
   if (plan->side.empty()) {
     plan->side.assign(static_cast<std::size_t>(env.cfg.n), 0);
@@ -191,28 +265,42 @@ class ColludeEquivocateStrategy final : public Strategy {
       }
       env.sim.network().hold_between(side0, side1, release);
     }
-    return std::make_unique<sim::ColludingFacedProcess>(
+    return std::make_unique<sim::FacedProcess>(
         env.shadow_stack(env.own_proposal()),
         env.shadow_stack(env.fault.equivocal_value),
-        [plan](ProcessId q) {
+        [plan](ProcessId q, Time) {
           return plan->side[static_cast<std::size_t>(q)];
         },
         plan->colluders);
   }
 };
 
+/// Shared state of a vote-withholding collusion group: the victim set, the
+/// delivery threshold, and the group-wide tally of deliveries observed so
+/// far. Every member holds the same instance (built once per run via the
+/// StrategyShared blackboard), so the cut trips for the whole group at one
+/// logical instant. Runs are single-threaded, so the bare counter is
+/// deterministic — delivery order is a function of (config, seed).
+struct WithholdLedger {
+  std::vector<ProcessId> victims;
+  std::uint64_t threshold = 0;
+  std::uint64_t deliveries = 0;
+  bool configured = false;  // set by whoever fills victims/threshold first
+  [[nodiscard]] bool tripped() const { return deliveries >= threshold; }
+};
+
 /// "collude-withhold" — quorum-edge vote withholding: the group behaves
 /// correctly while a SHARED tally of inbound deliveries (summed over all
 /// members) is below fault.observe; the delivery that trips it makes every
 /// member simultaneously stop sending to the fault.victims lowest-id
-/// correct processes. The shared trip wire is what a lone AdaptiveOmitShim
-/// cannot do: all colluding votes vanish from the victims' quorums at one
-/// logical instant, mid-protocol.
+/// correct processes. The shared trip wire is what a lone "adaptive"
+/// process cannot do: all colluding votes vanish from the victims' quorums
+/// at one logical instant, mid-protocol.
 class ColludeWithholdStrategy final : public Strategy {
  public:
   std::unique_ptr<sim::Process> build(const StrategyEnv& env) const override {
-    auto ledger = env.shared_state().get_or_make<sim::WithholdLedger>(
-        "collude-withhold/ledger");
+    auto ledger =
+        env.shared.get_or_make<WithholdLedger>("collude-withhold/ledger");
     if (!ledger->configured) {
       ledger->configured = true;
       ledger->threshold = static_cast<std::uint64_t>(
@@ -225,8 +313,19 @@ class ColludeWithholdStrategy final : public Strategy {
         }
       }
     }
-    return std::make_unique<sim::ColludingOmitShim>(
-        env.recorded_stack(env.own_proposal()), std::move(ledger));
+    return std::make_unique<sim::FilterShim>(
+        env.recorded_stack(env.own_proposal()),
+        Hooks{.inbound = [ledger](sim::Context&, ProcessId,
+                                  const sim::PayloadPtr&) {
+                ++ledger->deliveries;
+                return true;
+              },
+              .outbound = [ledger](sim::Context&, ProcessId to,
+                                   sim::PayloadPtr&) {
+                return ledger->tripped() && contains(ledger->victims, to)
+                           ? Verdict::kDrop
+                           : Verdict::kPass;
+              }});
   }
   void validate(const Fault& fault, const ScenarioConfig&) const override {
     if (fault.victims < 0) {
@@ -238,32 +337,24 @@ class ColludeWithholdStrategy final : public Strategy {
   }
 };
 
-/// Shim for "forge-qc": a full correct inner stack, plus a forgery reflex —
-/// every genuine QuorumCertificatePayload it observes inbound (unwrapped
-/// through the MuxMsg nesting chain, then re-wrapped in the same chain so
-/// the forgeries route to the same protocol layer at every receiver) is
-/// answered with two forged broadcast variants: one with an inflated voter
-/// bitset (a voter the aggregate does not cover) and one with a tampered
-/// aggregate MAC over the genuine voter set. One forgery pair per distinct
-/// certificate digest keeps the extra traffic bounded; the self-delivered
-/// forgeries re-enter maybe_forge with an already-seen digest, so the
-/// reflex can never feed itself. Honest receivers recompute the expected
-/// digest and pay one verify_aggregate, so every forgery must be rejected
-/// — a run with this fault must be indistinguishable (decisions,
-/// agreement, validity) from the corresponding fault-free run.
-class ForgeQcShim final : public sim::Process {
+/// Inbound hook of "forge-qc": a forgery reflex. Every genuine
+/// QuorumCertificatePayload it observes (unwrapped through the MuxMsg
+/// nesting chain, then re-wrapped in the same chain so the forgeries route
+/// to the same protocol layer at every receiver) is answered with two
+/// forged broadcast variants: one with an inflated voter bitset (a voter
+/// the aggregate does not cover) and one with a tampered aggregate MAC over
+/// the genuine voter set. One forgery pair per distinct certificate digest
+/// keeps the extra traffic bounded; the self-delivered forgeries re-enter
+/// with an already-seen digest, so the reflex can never feed itself. Honest
+/// receivers recompute the expected digest and pay one verify_aggregate, so
+/// every forgery must be rejected — a run with this fault must be
+/// indistinguishable (decisions, agreement, validity) from the
+/// corresponding fault-free run.
+class QcForger {
  public:
-  explicit ForgeQcShim(std::unique_ptr<sim::Process> inner)
-      : inner_(std::move(inner)) {}
-
-  void on_start(sim::Context& ctx) override { inner_->on_start(ctx); }
-  void on_message(sim::Context& ctx, ProcessId from,
-                  const sim::PayloadPtr& m) override {
-    maybe_forge(ctx, m);
-    inner_->on_message(ctx, from, m);
-  }
-  void on_timer(sim::Context& ctx, std::uint64_t tag) override {
-    inner_->on_timer(ctx, tag);
+  bool operator()(sim::Context& ctx, ProcessId, const sim::PayloadPtr& m) {
+    forge(ctx, m);
+    return true;
   }
 
  private:
@@ -276,7 +367,7 @@ class ForgeQcShim final : public sim::Process {
     return forged;
   }
 
-  void maybe_forge(sim::Context& ctx, const sim::PayloadPtr& m) {
+  void forge(sim::Context& ctx, const sim::PayloadPtr& m) {
     std::vector<std::uint32_t> chain;
     const sim::Payload* leaf = m.get();
     while (leaf->mux_child() != sim::Payload::kNotWrapped) {
@@ -312,7 +403,6 @@ class ForgeQcShim final : public sim::Process {
                              tampered, qc->body)));
   }
 
-  std::unique_ptr<sim::Process> inner_;
   std::set<crypto::Hash> forged_;
 };
 
@@ -323,8 +413,9 @@ class ForgeQcShim final : public sim::Process {
 class ForgeQcStrategy final : public Strategy {
  public:
   std::unique_ptr<sim::Process> build(const StrategyEnv& env) const override {
-    return std::make_unique<ForgeQcShim>(
-        env.recorded_stack(env.own_proposal()));
+    return std::make_unique<sim::FilterShim>(
+        env.recorded_stack(env.own_proposal()),
+        Hooks{.inbound = QcForger{}});
   }
 };
 

@@ -33,7 +33,7 @@ namespace valcon::harness {
 /// Per-run blackboard for *colluding* strategies: faulty processes built by
 /// the same (or cooperating) strategies in one run share state through it —
 /// a common partition plan, a joint vote-withholding ledger. run_universal
-/// creates one instance per run and hands every StrategyEnv a pointer, so
+/// creates one instance per run and hands every StrategyEnv a reference, so
 /// shared state never leaks across runs (or across the concurrent runs of a
 /// sweep). Builds within one run are sequential; no locking.
 class StrategyShared {
@@ -83,23 +83,11 @@ struct StrategyEnv {
   std::function<std::unique_ptr<sim::Process>(Value proposal)> shadow_stack;
 
   /// Per-run blackboard for colluding strategies (see StrategyShared).
-  /// Null only in hand-rolled test environments that predate collusion.
-  StrategyShared* shared = nullptr;
+  StrategyShared& shared;
 
   /// The proposal ScenarioConfig assigns to `self`.
   [[nodiscard]] Value own_proposal() const {
     return cfg.proposals[static_cast<std::size_t>(self)];
-  }
-
-  /// The blackboard, for strategies that require one. Throws
-  /// std::logic_error if the harness did not provide it.
-  [[nodiscard]] StrategyShared& shared_state() const {
-    if (shared == nullptr) {
-      throw std::logic_error(
-          "StrategyEnv.shared is null: colluding strategies need the "
-          "run-scoped StrategyShared that run_universal provides");
-    }
-    return *shared;
   }
 };
 

@@ -40,10 +40,13 @@ EbaseOutcome run_ebase_experiment(int n, int t, harness::VcKind vc,
           (*decisions)[p] = v;
         }));
     if (p >= n - half_t) {
+      // E_base: ignore the first ceil(t/2) messages, never send to B.
       simulator.mark_faulty(p);
       simulator.add_process(
-          p, std::make_unique<sim::MessageDropShim>(std::move(stack), half_t,
-                                                    group_b));
+          p, std::make_unique<sim::FilterShim>(
+                 std::move(stack),
+                 sim::FilterShim::Hooks{.inbound = sim::ignore_first(half_t),
+                                        .outbound = sim::omit_to(group_b)}));
     } else {
       simulator.add_process(p, std::move(stack));
     }

@@ -44,7 +44,9 @@ PartitionOutcome run_partition_experiment(int n, int t, std::uint64_t seed) {
 
   auto outcome = std::make_shared<PartitionOutcome>();
 
-  const auto side_of = [b_end](ProcessId p) { return p >= b_end ? 1 : 0; };
+  const auto side_of = [b_end](ProcessId p, Time) {
+    return p >= b_end ? 1 : 0;
+  };
 
   for (ProcessId p = 0; p < n; ++p) {
     if (p < a_end) {
@@ -63,7 +65,7 @@ PartitionOutcome run_partition_experiment(int n, int t, std::uint64_t seed) {
           cfg, value_a, lambda, [](sim::Context&, Value) {}));
       auto face1 = std::make_unique<sim::ComponentHost>(harness::make_universal(
           cfg, value_c, lambda, [](sim::Context&, Value) {}));
-      simulator.add_process(p, std::make_unique<sim::TwoFacedProcess>(
+      simulator.add_process(p, std::make_unique<sim::FacedProcess>(
                                    std::move(face0), std::move(face1),
                                    side_of));
     } else {

@@ -1,31 +1,22 @@
 // Byzantine behaviors used by the paper's proof constructions and by the
-// harness adversary strategies (harness/strategy.hpp).
+// harness adversary strategies (harness/strategy.hpp). Two mechanisms
+// express them all:
 //
-//  * SilentProcess     — crashes at time 0 (canonical executions, §3.1: "no
-//                        faulty process takes any computational step").
-//  * CrashShim         — behaves correctly, then stops at a given time.
-//  * MessageDropShim   — the Theorem 4 (Dolev-Reischuk) adversary: behaves
-//                        correctly except it ignores the first k messages it
-//                        receives and omits sending to a designated group.
-//  * TwoFacedProcess   — the partitioning adversary of Lemma 2 / Theorem 1:
-//                        runs two independent copies of a correct protocol,
-//                        one facing each partition side, so each side
-//                        observes a consistent-looking (but equivocating)
-//                        participant. The side assignment may depend on the
-//                        current time, which expresses scheduled
-//                        equivocation (switch faces at a chosen instant).
-//  * MutatingShim      — arbitrary payload tampering: outbound messages are
-//                        randomly dropped, replaced by unrecognizable
-//                        garbage, or duplicated.
-//  * AdaptiveOmitShim  — adaptive corruption: observes inbound traffic and
-//                        silences itself towards the most talkative senders.
-//  * ColludingFacedProcess / ColludingOmitShim — coordinated multi-process
-//                        adversaries: a whole group of faulty processes
-//                        jointly executes the Lemma 2 partition (consistent
-//                        face pairs) or withholds votes at the quorum edge
-//                        (one shared trip wire). The shared state that makes
-//                        them agree is plumbed by the harness strategy layer
-//                        (harness/strategy.hpp: StrategyShared).
+//  * FilterShim    — wraps one inner process: a stop time (crash), an
+//                    inbound hook that sees each delivery first and may drop
+//                    it, and an outbound verdict on each send (pass, drop,
+//                    replace or duplicate). ignore_first() and omit_to() are
+//                    the hooks of the Theorem 4 (Dolev-Reischuk) adversary.
+//  * FacedProcess  — the partitioning adversary of Lemma 2 / Theorem 1: two
+//                    independent copies of a correct protocol, one facing
+//                    each partition side, so each side observes a
+//                    consistent-looking (but equivocating) participant. A
+//                    colluder set lets a whole group share both world views.
+//
+// plus SilentProcess (canonical executions, §3.1: "no faulty process takes
+// any computational step"). Shims nest: the inner process of a FilterShim
+// may be another FilterShim or a FacedProcess. Whatever state a behavior
+// keeps lives in the hooks its strategy installs.
 //
 // All randomness flows through the per-process Rng of the Context, so every
 // behavior is a deterministic function of (configuration, seed).
@@ -35,7 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -46,84 +37,115 @@ namespace valcon::sim {
 
 class SilentProcess final : public Process {};
 
-/// Wraps an inner process; ignores every event at/after `crash_time`.
-class CrashShim final : public Process {
+/// Wraps an inner process and filters what it sees and sends. Every hook is
+/// optional; with none the shim is transparent.
+class FilterShim final : public Process {
  public:
-  CrashShim(std::unique_ptr<Process> inner, Time crash_time)
-      : inner_(std::move(inner)), crash_time_(crash_time) {}
+  /// What becomes of one outbound send.
+  enum class Verdict {
+    kPass,       // send it unchanged
+    kDrop,       // omit it
+    kReplace,    // send the payload the hook stored in its argument
+    kDuplicate,  // send it twice
+  };
+
+  /// Runs on each delivery before the inner process, through the unfiltered
+  /// context (so its own sends bypass `outbound`); false drops the delivery.
+  using Inbound =
+      std::function<bool(Context&, ProcessId from, const PayloadPtr&)>;
+  /// Rules on each send of the inner process, given the unfiltered context.
+  using Outbound =
+      std::function<Verdict(Context&, ProcessId to, PayloadPtr& payload)>;
+
+  struct Hooks {
+    /// From this time on the process takes no step at all (crash).
+    Time stop = std::numeric_limits<Time>::infinity();
+    Inbound inbound{};
+    Outbound outbound{};
+  };
+
+  FilterShim(std::unique_ptr<Process> inner, Hooks hooks)
+      : inner_(std::move(inner)), hooks_(std::move(hooks)) {}
 
   void on_start(Context& ctx) override {
-    if (ctx.now() < crash_time_) inner_->on_start(ctx);
-  }
-  void on_message(Context& ctx, ProcessId from, const PayloadPtr& m) override {
-    if (ctx.now() < crash_time_) inner_->on_message(ctx, from, m);
-  }
-  void on_timer(Context& ctx, std::uint64_t tag) override {
-    if (ctx.now() < crash_time_) inner_->on_timer(ctx, tag);
-  }
-
- private:
-  std::unique_ptr<Process> inner_;
-  Time crash_time_;
-};
-
-/// The E_base adversary of Theorem 4: correct behavior, except that the
-/// first `ignore_count` received messages are dropped and no message is sent
-/// to processes in `omit_to`.
-class MessageDropShim final : public Process {
- public:
-  MessageDropShim(std::unique_ptr<Process> inner, int ignore_count,
-                  std::vector<ProcessId> omit_to)
-      : inner_(std::move(inner)),
-        ignore_remaining_(ignore_count),
-        omit_to_(std::move(omit_to)) {}
-
-  void on_start(Context& ctx) override {
+    if (!live(ctx)) return;
     FilterCtx fctx(this, ctx);
     inner_->on_start(fctx);
   }
   void on_message(Context& ctx, ProcessId from, const PayloadPtr& m) override {
-    if (ignore_remaining_ > 0) {
-      --ignore_remaining_;
-      return;
-    }
+    if (!live(ctx)) return;
+    if (hooks_.inbound && !hooks_.inbound(ctx, from, m)) return;
     FilterCtx fctx(this, ctx);
     inner_->on_message(fctx, from, m);
   }
   void on_timer(Context& ctx, std::uint64_t tag) override {
+    if (!live(ctx)) return;
     FilterCtx fctx(this, ctx);
     inner_->on_timer(fctx, tag);
   }
 
  private:
+  [[nodiscard]] bool live(const Context& ctx) const {
+    return ctx.now() < hooks_.stop;
+  }
+
   class FilterCtx final : public ForwardingContext {
    public:
-    FilterCtx(MessageDropShim* shim, Context& base)
+    FilterCtx(FilterShim* shim, Context& base)
         : ForwardingContext(base), shim_(shim) {}
 
     void send(ProcessId to, PayloadPtr payload) override {
-      for (ProcessId omit : shim_->omit_to_) {
-        if (omit == to) return;
+      const Outbound& outbound = shim_->hooks_.outbound;
+      switch (outbound ? outbound(base(), to, payload) : Verdict::kPass) {
+        case Verdict::kDrop:
+          return;
+        case Verdict::kDuplicate:
+          ForwardingContext::send(to, payload);
+          break;
+        case Verdict::kPass:
+        case Verdict::kReplace:
+          break;
       }
       ForwardingContext::send(to, std::move(payload));
     }
 
    private:
-    MessageDropShim* shim_;
+    FilterShim* shim_;
   };
 
   std::unique_ptr<Process> inner_;
-  int ignore_remaining_;
-  std::vector<ProcessId> omit_to_;
+  Hooks hooks_;
 };
+
+/// Inbound hook that drops the first `k` deliveries.
+inline FilterShim::Inbound ignore_first(int k) {
+  return [k](Context&, ProcessId, const PayloadPtr&) mutable {
+    if (k <= 0) return true;
+    --k;
+    return false;
+  };
+}
+
+/// Outbound verdict that omits every send to a process in `set`.
+inline FilterShim::Outbound omit_to(std::vector<ProcessId> set) {
+  return [set = std::move(set)](Context&, ProcessId to, PayloadPtr&) {
+    return std::find(set.begin(), set.end(), to) != set.end()
+               ? FilterShim::Verdict::kDrop
+               : FilterShim::Verdict::kPass;
+  };
+}
 
 /// Split-brain equivocator. `side(p, now)` assigns every process to face 0
 /// or 1 (possibly changing over time — scheduled equivocation); inbound
-/// messages are routed to the matching inner copy, and each copy's outbound
-/// traffic is confined to its own side. Timers are tagged per face.
-class TwoFacedProcess final : public Process {
+/// messages are routed to the face of the sender's side, and each face's
+/// outbound traffic is confined to its own side. Messages to itself or to a
+/// fellow colluder carry a face tag and return to the face that sent them,
+/// so a colluding group keeps BOTH world views consistent with every
+/// member; a lone equivocator has no colluders. The side assignment must
+/// then be identical across the group. Timers are tagged per face.
+class FacedProcess final : public Process {
  public:
-  /// Wrapper for self-addressed messages so they return to the same face.
+  /// Face tag on a message to self or to a colluder.
   // valcon-lint: allow(payload-type) -- forwards the inner payload's identity
   struct FacedSelfMsg final : Payload {
     FacedSelfMsg(int f, PayloadPtr m) : face(f), inner(std::move(m)) {}
@@ -140,56 +162,56 @@ class TwoFacedProcess final : public Process {
     PayloadPtr inner;
   };
 
-  using Side = std::function<int(ProcessId)>;
-  using TimedSide = std::function<int(ProcessId, Time)>;
+  using Side = std::function<int(ProcessId, Time)>;
 
-  TwoFacedProcess(std::unique_ptr<Process> face0,
-                  std::unique_ptr<Process> face1, Side side)
-      : TwoFacedProcess(std::move(face0), std::move(face1),
-                        TimedSide([side = std::move(side)](ProcessId p, Time) {
-                          return side(p);
-                        })) {}
-
-  TwoFacedProcess(std::unique_ptr<Process> face0,
-                  std::unique_ptr<Process> face1, TimedSide side)
-      : side_(std::move(side)) {
-    faces_[0] = std::move(face0);
-    faces_[1] = std::move(face1);
-  }
+  FacedProcess(std::unique_ptr<Process> face0, std::unique_ptr<Process> face1,
+               Side side, std::vector<ProcessId> colluders = {})
+      : faces_{std::move(face0), std::move(face1)},
+        side_(std::move(side)),
+        colluders_(std::move(colluders)) {}
 
   void on_start(Context& ctx) override {
     for (int f = 0; f < 2; ++f) {
       FaceCtx fctx(this, ctx, f);
-      faces_[static_cast<std::size_t>(f)]->on_start(fctx);
+      face(f).on_start(fctx);
     }
   }
 
   void on_message(Context& ctx, ProcessId from, const PayloadPtr& m) override {
-    if (const auto* self = dynamic_cast<const FacedSelfMsg*>(m.get())) {
-      FaceCtx fctx(this, ctx, self->face);
-      faces_[static_cast<std::size_t>(self->face)]->on_message(fctx, from,
-                                                               self->inner);
+    // Face-tagged messages (from self or a colluder) return to the tagged
+    // face; outsider messages are routed by the sender's side.
+    if (const auto* tagged = dynamic_cast<const FacedSelfMsg*>(m.get())) {
+      FaceCtx fctx(this, ctx, tagged->face);
+      face(tagged->face).on_message(fctx, from, tagged->inner);
       return;
     }
     const int f = side_(from, ctx.now());
     FaceCtx fctx(this, ctx, f);
-    faces_[static_cast<std::size_t>(f)]->on_message(fctx, from, m);
+    face(f).on_message(fctx, from, m);
   }
 
   void on_timer(Context& ctx, std::uint64_t tag) override {
     const int f = static_cast<int>(tag & 1);
     FaceCtx fctx(this, ctx, f);
-    faces_[static_cast<std::size_t>(f)]->on_timer(fctx, tag >> 1);
+    face(f).on_timer(fctx, tag >> 1);
   }
 
  private:
+  [[nodiscard]] Process& face(int f) {
+    return *faces_[static_cast<std::size_t>(f)];
+  }
+  [[nodiscard]] bool colludes_with(ProcessId q) const {
+    return std::find(colluders_.begin(), colluders_.end(), q) !=
+           colluders_.end();
+  }
+
   class FaceCtx final : public ForwardingContext {
    public:
-    FaceCtx(TwoFacedProcess* shim, Context& base, int face)
+    FaceCtx(FacedProcess* shim, Context& base, int face)
         : ForwardingContext(base), shim_(shim), face_(face) {}
 
     void send(ProcessId to, PayloadPtr payload) override {
-      if (to == id()) {
+      if (to == id() || shim_->colludes_with(to)) {
         ForwardingContext::send(
             to, make_payload<FacedSelfMsg>(face_, std::move(payload)));
         return;
@@ -203,235 +225,7 @@ class TwoFacedProcess final : public Process {
     }
 
    private:
-    TwoFacedProcess* shim_;
-    int face_;
-  };
-
-  std::array<std::unique_ptr<Process>, 2> faces_;
-  TimedSide side_;
-};
-
-/// Unrecognizable protocol message: no component dynamic_casts to it, so
-/// receivers must (and do) ignore it. Used by MutatingShim to model
-/// arbitrary payload corruption while keeping word accounting honest.
-// valcon-protomap: allow(black-hole) -- adversarial garbage is meant to be dropped
-struct GarbagePayload final : Payload {
-  explicit GarbagePayload(std::size_t words) : words_(words == 0 ? 1 : words) {}
-  VALCON_PAYLOAD_TYPE("adversary/garbage")
-  [[nodiscard]] std::size_t size_words() const override { return words_; }
-
- private:
-  std::size_t words_;
-};
-
-/// Arbitrary payload mutation: wraps a correct process; each outbound
-/// message is tampered with probability `rate` — dropped, replaced by a
-/// GarbagePayload of the same word size, or sent twice, chosen uniformly
-/// from the per-process Rng (deterministic per (config, seed)).
-class MutatingShim final : public Process {
- public:
-  MutatingShim(std::unique_ptr<Process> inner, double rate)
-      : inner_(std::move(inner)), rate_(rate) {}
-
-  void on_start(Context& ctx) override {
-    MutCtx mctx(this, ctx);
-    inner_->on_start(mctx);
-  }
-  void on_message(Context& ctx, ProcessId from, const PayloadPtr& m) override {
-    MutCtx mctx(this, ctx);
-    inner_->on_message(mctx, from, m);
-  }
-  void on_timer(Context& ctx, std::uint64_t tag) override {
-    MutCtx mctx(this, ctx);
-    inner_->on_timer(mctx, tag);
-  }
-
- private:
-  class MutCtx final : public ForwardingContext {
-   public:
-    MutCtx(MutatingShim* shim, Context& base)
-        : ForwardingContext(base), shim_(shim) {}
-
-    void send(ProcessId to, PayloadPtr payload) override {
-      if (rng().uniform(0.0, 1.0) >= shim_->rate_) {
-        ForwardingContext::send(to, std::move(payload));
-        return;
-      }
-      switch (rng().next_below(3)) {
-        case 0:  // omission
-          return;
-        case 1:  // corruption
-          ForwardingContext::send(
-              to, make_payload<GarbagePayload>(payload->size_words()));
-          return;
-        default:  // duplication
-          ForwardingContext::send(to, payload);
-          ForwardingContext::send(to, std::move(payload));
-          return;
-      }
-    }
-
-   private:
-    MutatingShim* shim_;
-  };
-
-  std::unique_ptr<Process> inner_;
-  double rate_;
-};
-
-/// Adaptive corruption: behaves correctly while counting inbound messages
-/// per sender; once `observe` messages have been seen it picks the
-/// `victims` most talkative senders (ties broken towards lower ids) and
-/// permanently stops sending to them — an adversary that targets whoever is
-/// driving progress. Victim choice depends only on the delivery order, so
-/// it is deterministic per (config, seed).
-class AdaptiveOmitShim final : public Process {
- public:
-  AdaptiveOmitShim(std::unique_ptr<Process> inner, int victims, int observe)
-      : inner_(std::move(inner)),
-        victims_(victims),
-        observe_remaining_(observe) {
-    if (observe_remaining_ <= 0) chosen_ = true;  // victims picked lazily
-  }
-
-  [[nodiscard]] const std::vector<ProcessId>& victims() const {
-    return victim_ids_;
-  }
-
-  void on_start(Context& ctx) override {
-    OmitCtx octx(this, ctx);
-    inner_->on_start(octx);
-  }
-  void on_message(Context& ctx, ProcessId from, const PayloadPtr& m) override {
-    if (!chosen_) {
-      ++counts_[from];
-      if (--observe_remaining_ <= 0) pick_victims();
-    }
-    OmitCtx octx(this, ctx);
-    inner_->on_message(octx, from, m);
-  }
-  void on_timer(Context& ctx, std::uint64_t tag) override {
-    OmitCtx octx(this, ctx);
-    inner_->on_timer(octx, tag);
-  }
-
- private:
-  void pick_victims() {
-    chosen_ = true;
-    std::vector<std::pair<ProcessId, std::uint64_t>> ranked(counts_.begin(),
-                                                            counts_.end());
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    const auto k = std::min<std::size_t>(
-        ranked.size(), static_cast<std::size_t>(std::max(victims_, 0)));
-    for (std::size_t i = 0; i < k; ++i) victim_ids_.push_back(ranked[i].first);
-  }
-
-  class OmitCtx final : public ForwardingContext {
-   public:
-    OmitCtx(AdaptiveOmitShim* shim, Context& base)
-        : ForwardingContext(base), shim_(shim) {}
-
-    void send(ProcessId to, PayloadPtr payload) override {
-      for (ProcessId victim : shim_->victim_ids_) {
-        if (victim == to) return;
-      }
-      ForwardingContext::send(to, std::move(payload));
-    }
-
-   private:
-    AdaptiveOmitShim* shim_;
-  };
-
-  std::unique_ptr<Process> inner_;
-  int victims_;
-  int observe_remaining_;
-  bool chosen_ = false;
-  std::map<ProcessId, std::uint64_t> counts_;
-  std::vector<ProcessId> victim_ids_;
-};
-
-/// Coordinated split-brain for a whole *group* of colluders — the Lemma 2
-/// partition adversary executed jointly. Like TwoFacedProcess, every member
-/// runs two full protocol stacks, one per partition side; unlike a lone
-/// equivocator, messages between group members carry a face tag (the
-/// TwoFacedProcess::FacedSelfMsg wrapper, whose routing is sender-agnostic),
-/// so each member keeps BOTH world views consistent with every other member.
-/// Outsiders assigned to side 0 observe one coherent system in which all
-/// colluders participate, outsiders on side 1 a different one. The side
-/// assignment must be identical across the group; it comes from shared
-/// per-run state (harness/strategy.hpp: StrategyShared). Sends to an
-/// outsider on the other side are dropped.
-class ColludingFacedProcess final : public Process {
- public:
-  using Side = std::function<int(ProcessId)>;
-
-  ColludingFacedProcess(std::unique_ptr<Process> face0,
-                        std::unique_ptr<Process> face1, Side side,
-                        std::vector<ProcessId> colluders)
-      : side_(std::move(side)), colluders_(std::move(colluders)) {
-    faces_[0] = std::move(face0);
-    faces_[1] = std::move(face1);
-  }
-
-  void on_start(Context& ctx) override {
-    for (int f = 0; f < 2; ++f) {
-      FaceCtx fctx(this, ctx, f);
-      faces_[static_cast<std::size_t>(f)]->on_start(fctx);
-    }
-  }
-
-  void on_message(Context& ctx, ProcessId from, const PayloadPtr& m) override {
-    // Face-tagged messages (from self or a co-colluder) return to the
-    // tagged face; outsider messages are routed by the sender's side.
-    if (const auto* tagged =
-            dynamic_cast<const TwoFacedProcess::FacedSelfMsg*>(m.get())) {
-      FaceCtx fctx(this, ctx, tagged->face);
-      faces_[static_cast<std::size_t>(tagged->face)]->on_message(fctx, from,
-                                                                 tagged->inner);
-      return;
-    }
-    const int f = side_(from);
-    FaceCtx fctx(this, ctx, f);
-    faces_[static_cast<std::size_t>(f)]->on_message(fctx, from, m);
-  }
-
-  void on_timer(Context& ctx, std::uint64_t tag) override {
-    const int f = static_cast<int>(tag & 1);
-    FaceCtx fctx(this, ctx, f);
-    faces_[static_cast<std::size_t>(f)]->on_timer(fctx, tag >> 1);
-  }
-
- private:
-  [[nodiscard]] bool colludes_with(ProcessId q) const {
-    return std::find(colluders_.begin(), colluders_.end(), q) !=
-           colluders_.end();
-  }
-
-  class FaceCtx final : public ForwardingContext {
-   public:
-    FaceCtx(ColludingFacedProcess* shim, Context& base, int face)
-        : ForwardingContext(base), shim_(shim), face_(face) {}
-
-    void send(ProcessId to, PayloadPtr payload) override {
-      if (to == id() || shim_->colludes_with(to)) {
-        ForwardingContext::send(
-            to, make_payload<TwoFacedProcess::FacedSelfMsg>(
-                    face_, std::move(payload)));
-        return;
-      }
-      if (shim_->side_(to) != face_) return;
-      ForwardingContext::send(to, std::move(payload));
-    }
-    void set_timer(Time delay, std::uint64_t tag) override {
-      ForwardingContext::set_timer(
-          delay, (tag << 1) | static_cast<std::uint64_t>(face_));
-    }
-
-   private:
-    ColludingFacedProcess* shim_;
+    FacedProcess* shim_;
     int face_;
   };
 
@@ -440,67 +234,17 @@ class ColludingFacedProcess final : public Process {
   std::vector<ProcessId> colluders_;
 };
 
-/// Shared state of a vote-withholding collusion group: the victim set, the
-/// delivery threshold, and the group-wide tally of deliveries observed so
-/// far. Every member holds the same instance (built once per run via the
-/// harness StrategyShared blackboard), so the cut below trips for the whole
-/// group at one logical instant. Runs are single-threaded, so the bare
-/// counter is deterministic — delivery order is a function of (config, seed).
-struct WithholdLedger {
-  std::vector<ProcessId> victims;
-  std::uint64_t threshold = 0;
-  std::uint64_t deliveries = 0;
-  bool configured = false;  // set by whoever fills victims/threshold first
-  [[nodiscard]] bool tripped() const { return deliveries >= threshold; }
-};
-
-/// Quorum-edge vote withholding: behaves correctly (proposes, votes,
-/// relays) while the group's shared tally is below the threshold; from the
-/// delivery that trips it, every member simultaneously stops sending to the
-/// victim set. A lone AdaptiveOmitShim can only remove itself from a
-/// victim's quorums; a group tripping together removes ALL colluders'
-/// votes mid-protocol — the quorum edge.
-class ColludingOmitShim final : public Process {
- public:
-  ColludingOmitShim(std::unique_ptr<Process> inner,
-                    std::shared_ptr<WithholdLedger> ledger)
-      : inner_(std::move(inner)), ledger_(std::move(ledger)) {}
-
-  void on_start(Context& ctx) override {
-    OmitCtx octx(this, ctx);
-    inner_->on_start(octx);
-  }
-  void on_message(Context& ctx, ProcessId from, const PayloadPtr& m) override {
-    ++ledger_->deliveries;
-    OmitCtx octx(this, ctx);
-    inner_->on_message(octx, from, m);
-  }
-  void on_timer(Context& ctx, std::uint64_t tag) override {
-    OmitCtx octx(this, ctx);
-    inner_->on_timer(octx, tag);
-  }
+/// Unrecognizable protocol message: no component dynamic_casts to it, so
+/// receivers must (and do) ignore it. The "mutate" strategy sends it to
+/// model arbitrary payload corruption while keeping word accounting honest.
+// valcon-protomap: allow(black-hole) -- adversarial garbage is meant to be dropped
+struct GarbagePayload final : Payload {
+  explicit GarbagePayload(std::size_t words) : words_(words == 0 ? 1 : words) {}
+  VALCON_PAYLOAD_TYPE("adversary/garbage")
+  [[nodiscard]] std::size_t size_words() const override { return words_; }
 
  private:
-  class OmitCtx final : public ForwardingContext {
-   public:
-    OmitCtx(ColludingOmitShim* shim, Context& base)
-        : ForwardingContext(base), shim_(shim) {}
-
-    void send(ProcessId to, PayloadPtr payload) override {
-      if (shim_->ledger_->tripped()) {
-        for (ProcessId victim : shim_->ledger_->victims) {
-          if (victim == to) return;
-        }
-      }
-      ForwardingContext::send(to, std::move(payload));
-    }
-
-   private:
-    ColludingOmitShim* shim_;
-  };
-
-  std::unique_ptr<Process> inner_;
-  std::shared_ptr<WithholdLedger> ledger_;
+  std::size_t words_;
 };
 
 }  // namespace valcon::sim

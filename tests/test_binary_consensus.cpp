@@ -171,9 +171,9 @@ TEST(BinaryConsensus, EquivocatingProcessCannotBreakAgreement) {
         std::make_unique<BinHost>(false, 0.0, &byz_decisions));
     auto face1 = std::make_unique<ComponentHost>(
         std::make_unique<BinHost>(true, 0.0, &byz_decisions));
-    sim.add_process(3, std::make_unique<TwoFacedProcess>(
+    sim.add_process(3, std::make_unique<FacedProcess>(
                            std::move(face0), std::move(face1),
-                           [](ProcessId p) { return p % 2; }));
+                           [](ProcessId p, Time) { return p % 2; }));
     sim.run(1e6);
     ASSERT_EQ(decisions.size(), 3u) << "seed " << seed;
     std::optional<bool> seen;

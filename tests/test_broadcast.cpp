@@ -98,9 +98,9 @@ TEST(Brb, EquivocatingSenderCannotSplitDeliveries) {
       std::make_unique<BrbHost>(0, Bytes{7}, &delivered));
   auto face1 = std::make_unique<ComponentHost>(
       std::make_unique<BrbHost>(0, Bytes{9}, &delivered));
-  sim.add_process(0, std::make_unique<TwoFacedProcess>(
+  sim.add_process(0, std::make_unique<FacedProcess>(
                          std::move(face0), std::move(face1),
-                         [](ProcessId p) { return p <= 1 ? 0 : 1; }));
+                         [](ProcessId p, Time) { return p <= 1 ? 0 : 1; }));
   for (ProcessId p = 1; p < 4; ++p) {
     sim.add_process(p, std::make_unique<ComponentHost>(
                            std::make_unique<BrbHost>(0, Bytes{}, &delivered)));
@@ -124,8 +124,9 @@ TEST(Brb, TotalityFromPartialReadySet) {
       std::make_unique<BrbHost>(0, msg, &delivered));
   sim.mark_faulty(0);
   // Crash shortly after start: SEND goes out (t=0), then silence.
-  sim.add_process(0, std::make_unique<CrashShim>(std::move(sender_host),
-                                                 /*crash_time=*/0.5));
+  sim.add_process(0, std::make_unique<FilterShim>(
+                         std::move(sender_host),
+                         FilterShim::Hooks{.stop = 0.5}));
   for (ProcessId p = 1; p < 4; ++p) {
     sim.add_process(p, std::make_unique<ComponentHost>(
                            std::make_unique<BrbHost>(0, Bytes{}, &delivered)));

@@ -291,24 +291,60 @@ TEST(TwoFaced, RoutesSelfMessagesToOriginatingFace) {
   sim.add_process(0, std::make_unique<SilentProcess>());
   sim.add_process(1, std::make_unique<SilentProcess>());
   sim.add_process(
-      2, std::make_unique<TwoFacedProcess>(
+      2, std::make_unique<FacedProcess>(
              std::move(face0), std::move(face1),
-             [](ProcessId p) { return p == 1 ? 1 : 0; }));
+             [](ProcessId p, Time) { return p == 1 ? 1 : 0; }));
   sim.run();
   EXPECT_EQ(f0->self_msgs, 1);
   EXPECT_EQ(f1->self_msgs, 1);
 }
 
-TEST(MessageDropShim, IgnoresFirstKMessages) {
+TEST(FilterShim, IgnoresFirstKMessages) {
   Simulator sim(basic_config(2, 1));
   auto recorder = std::make_unique<Recorder>();
   Recorder* rec = recorder.get();
   sim.mark_faulty(1);
   sim.add_process(0, std::make_unique<Pinger>(5));
-  sim.add_process(1, std::make_unique<MessageDropShim>(std::move(recorder), 3,
-                                                       std::vector<ProcessId>{}));
+  sim.add_process(1, std::make_unique<FilterShim>(
+                         std::move(recorder),
+                         FilterShim::Hooks{.inbound = ignore_first(3)}));
   sim.run();
   EXPECT_EQ(rec->events.size(), 2u);  // 5 sent, first 3 ignored
+}
+
+TEST(FilterShim, NestsAroundFacedProcess) {
+  // Omission plus equivocation: a filter that never sends to process 1,
+  // around two faces that announce different values to {0, 1} and {2}.
+  class Announcer final : public Process {
+   public:
+    explicit Announcer(int seq) : seq_(seq) {}
+    void on_start(Context& ctx) override {
+      ctx.broadcast(make_payload<Ping>(seq_));
+    }
+
+   private:
+    int seq_;
+  };
+  Simulator sim(basic_config(4, 1));
+  std::vector<Recorder*> recs;
+  for (ProcessId p = 0; p < 3; ++p) {
+    auto rec = std::make_unique<Recorder>();
+    recs.push_back(rec.get());
+    sim.add_process(p, std::move(rec));
+  }
+  sim.mark_faulty(3);
+  sim.add_process(
+      3, std::make_unique<FilterShim>(
+             std::make_unique<FacedProcess>(
+                 std::make_unique<Announcer>(7), std::make_unique<Announcer>(9),
+                 [](ProcessId p, Time) { return p < 2 ? 0 : 1; }),
+             FilterShim::Hooks{.outbound = omit_to({1})}));
+  sim.run();
+  ASSERT_EQ(recs[0]->events.size(), 1u);
+  EXPECT_EQ(recs[0]->events[0].seq, 7);
+  EXPECT_TRUE(recs[1]->events.empty());
+  ASSERT_EQ(recs[2]->events.size(), 1u);
+  EXPECT_EQ(recs[2]->events[0].seq, 9);
 }
 
 TEST(Rng, ForkIndependence) {

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "valcon/core/lambda.hpp"
 #include "valcon/harness/strategy.hpp"
@@ -123,6 +124,12 @@ TEST(StrategyRegistry, ParameterValidationGoesThroughTheStrategyHook) {
   ScenarioConfig bad_victims = base_config();
   bad_victims.faults[3] = Fault::adaptive(/*victims=*/-2);
   EXPECT_THROW(static_cast<void>(harness::run_universal(bad_victims, lambda)),
+               std::invalid_argument);
+
+  // observe = 0 would pick no victim, so the fault would inject nothing.
+  ScenarioConfig bad_observe = base_config();
+  bad_observe.faults[3] = Fault::adaptive(/*victims=*/3, /*observe=*/0);
+  EXPECT_THROW(static_cast<void>(harness::run_universal(bad_observe, lambda)),
                std::invalid_argument);
 
   ScenarioConfig bad_crash = base_config();
@@ -259,18 +266,26 @@ TEST(NewStrategies, MutateAtRateZeroMatchesNoTampering) {
 }
 
 TEST(NewStrategies, AdaptiveShimPicksTheBusiestSenders) {
-  // Unit-level check of the victim choice: feed the shim a traffic pattern
-  // and verify it targets the top senders, ties towards lower ids.
-  sim::AdaptiveOmitShim shim(std::make_unique<sim::SilentProcess>(),
-                             /*victims=*/2, /*observe=*/6);
-  class NullCtx final : public sim::Context {
+  // Unit-level check of the victim choice: feed an "adaptive" process a
+  // traffic pattern, then watch which peers its broadcasts still reach. It
+  // must silence the top senders, ties broken towards lower ids.
+  class Broadcaster final : public sim::Process {
    public:
+    void on_timer(sim::Context& ctx, std::uint64_t) override {
+      ctx.broadcast(sim::make_payload<sim::GarbagePayload>(1));
+    }
+  };
+  class RecordingCtx final : public sim::Context {
+   public:
+    std::vector<ProcessId> sent_to;
     [[nodiscard]] Time now() const override { return 0.0; }
     [[nodiscard]] ProcessId id() const override { return 0; }
     [[nodiscard]] int n() const override { return 4; }
     [[nodiscard]] int t() const override { return 1; }
     [[nodiscard]] Time delta() const override { return 1.0; }
-    void send(ProcessId, sim::PayloadPtr) override {}
+    void send(ProcessId to, sim::PayloadPtr) override {
+      sent_to.push_back(to);
+    }
     void set_timer(Time, std::uint64_t) override {}
     [[nodiscard]] const crypto::KeyRegistry& keys() const override {
       std::abort();
@@ -283,14 +298,32 @@ TEST(NewStrategies, AdaptiveShimPicksTheBusiestSenders) {
    private:
     sim::Rng rng_{1};
   } ctx;
+  ScenarioConfig cfg = base_config();
+  cfg.faults[0] = Fault::adaptive(/*victims=*/2, /*observe=*/6);
+  sim::Simulator simulator(sim::SimConfig{});
+  harness::StrategyShared shared;
+  const auto broadcaster = [](Value) {
+    return std::make_unique<Broadcaster>();
+  };
+  const StrategyEnv env{cfg,         cfg.faults.at(0), 0,     simulator,
+                        broadcaster, broadcaster,      shared};
+  const auto process = StrategyRegistry::global().make("adaptive")->build(env);
+  const auto reached = [&] {
+    ctx.sent_to.clear();
+    process->on_timer(ctx, 0);
+    return ctx.sent_to;
+  };
   const auto msg = sim::make_payload<sim::GarbagePayload>(1);
   // Sender 2: three messages; senders 1 and 3: one each; sender 0: one.
-  for (const ProcessId from : {2, 1, 2, 3, 2, 0}) {
-    shim.on_message(ctx, from, msg);
+  for (const ProcessId from : {2, 1, 2, 3, 2}) {
+    process->on_message(ctx, from, msg);
   }
-  ASSERT_EQ(shim.victims().size(), 2u);
-  EXPECT_EQ(shim.victims()[0], 2);  // busiest
-  EXPECT_EQ(shim.victims()[1], 0);  // 1-message tie broken towards lower id
+  EXPECT_EQ(reached(), (std::vector<ProcessId>{0, 1, 2, 3}))
+      << "no victim before the sixth delivery";
+  process->on_message(ctx, 0, msg);
+  // Victims {2, 0}: 2 is the busiest, and the 1-message tie between 0, 1
+  // and 3 is broken towards the lower id.
+  EXPECT_EQ(reached(), (std::vector<ProcessId>{1, 3}));
 }
 
 // ------------------------------------------------------- custom strategies
@@ -307,9 +340,9 @@ class OmitEvensStrategy final : public Strategy {
     for (ProcessId q = 0; q < env.cfg.n; ++q) {
       if (q % 2 == 0 && q != env.self) evens.push_back(q);
     }
-    return std::make_unique<sim::MessageDropShim>(
-        env.recorded_stack(env.own_proposal()), /*ignore_count=*/0,
-        std::move(evens));
+    return std::make_unique<sim::FilterShim>(
+        env.recorded_stack(env.own_proposal()),
+        sim::FilterShim::Hooks{.outbound = sim::omit_to(std::move(evens))});
   }
 };
 

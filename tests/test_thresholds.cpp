@@ -1,17 +1,19 @@
 // Pins core::thresholds: the value table at the paper's boundary
 // regimes, the input-validation throws, and — the load-bearing check —
 // that the protocol layer's behaviour stays byte-identical: the five
-// named sweep matrices and one unsound-regime search report must hash to
-// the digests committed under tests/golden/. A threshold off-by-one (or
-// any other change to when a quorum fires) anywhere in consensus/ or
-// bcast/ changes decision timing or outcomes and shows up here as a
-// digest mismatch.
+// named sweep matrices, one adversary sweep and one unsound-regime search
+// report must hash to the digests committed under tests/golden/. A
+// threshold off-by-one (or any other change to when a quorum fires)
+// anywhere in consensus/ or bcast/ changes decision timing or outcomes and
+// shows up here as a digest mismatch.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "valcon/core/thresholds.hpp"
 #include "valcon/crypto/sha256.hpp"
@@ -112,11 +114,11 @@ TEST(Thresholds, AcceptsFullByzantineBoundary) {
 
 // ------------------------------------------------------ golden pins
 
-// Rebuilds a named matrix's sweep document in-process exactly the way
+// Rebuilds a matrix's sweep document in-process exactly the way
 // valcon_sweep emits it (header, comma-separated outcome lines in index
 // order, footer).
-std::string sweep_document(const std::string& name) {
-  const harness::ScenarioMatrix matrix = harness::named_matrix(name);
+std::string sweep_document(const std::string& name,
+                           const harness::ScenarioMatrix& matrix) {
   const std::size_t total = matrix.size();
 
   std::ostringstream doc;
@@ -130,6 +132,29 @@ std::string sweep_document(const std::string& name) {
   });
   harness::io::document_footer(doc, summary);
   return doc.str();
+}
+
+// perfbench's `adversarial` workload at seeds {1, 2}: every built-in
+// strategy plus fault-free on all three stacks, both sizes, both GSTs and
+// both certificate modes, 528 cells. `byzantine` pins seven strategies in
+// per-vote mode only; this document pins all ten under both modes.
+harness::ScenarioMatrix adversaries_matrix() {
+  std::vector<harness::FaultSpec> faults{harness::FaultSpec{"silent", 0}};
+  for (const char* strategy :
+       {"silent", "crash", "equivocate", "delay", "mutate",
+        "equivocate-scheduled", "adaptive", "collude-equivocate",
+        "collude-withhold", "forge-qc"}) {
+    faults.push_back(harness::FaultSpec{strategy});
+  }
+  return harness::ScenarioMatrix()
+      .vc_kinds({harness::VcKind::kAuthenticated,
+                 harness::VcKind::kNonAuthenticated, harness::VcKind::kFast})
+      .validities({harness::ValidityKind::kStrong})
+      .faults(std::move(faults))
+      .sizes({{4, 1}, {7, 2}})
+      .gsts({0.0, 5.0})
+      .cert_modes({core::CertMode::kPerVote, core::CertMode::kAggregate})
+      .seeds({1, 2});
 }
 
 // The report of `valcon_search --search-seed 42 --budget 256
@@ -159,15 +184,21 @@ std::string sha256_hex(const std::string& text) {
   return hex;
 }
 
-// One pinned document per name: the five named matrices, then the
-// search report. tests/golden/<name>.sha256 holds its digest (first
-// token).
+// One pinned document per name: the five named matrices, the adversary
+// sweep, then the search report. tests/golden/<name>.sha256 holds its
+// digest (first token).
 class GoldenDocument : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenDocument, MatchesCommittedDigest) {
   const std::string& name = GetParam();
-  const std::string text =
-      name == "search" ? search_document() : sweep_document(name);
+  std::string text;
+  if (name == "search") {
+    text = search_document();
+  } else if (name == "adversaries") {
+    text = sweep_document(name, adversaries_matrix());
+  } else {
+    text = sweep_document(name, harness::named_matrix(name));
+  }
 
   const std::string path =
       std::string(VALCON_GOLDEN_DIR) + "/" + name + ".sha256";
@@ -184,7 +215,7 @@ TEST_P(GoldenDocument, MatchesCommittedDigest) {
 INSTANTIATE_TEST_SUITE_P(
     Pinned, GoldenDocument,
     ::testing::Values("full", "byzantine", "validity", "certs", "committee",
-                      "search"),
+                      "adversaries", "search"),
     [](const ::testing::TestParamInfo<std::string>& param_info) {
       return param_info.param;
     });

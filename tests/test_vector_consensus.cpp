@@ -162,7 +162,8 @@ TEST(VectorConsensusCrash, AuthToleratesCrashMidProtocol) {
         std::make_unique<ComponentHost>(std::move(vc));
     if (p == 1) {
       sim.mark_faulty(1);
-      host = std::make_unique<CrashShim>(std::move(host), /*crash=*/2.5);
+      host = std::make_unique<FilterShim>(
+          std::move(host), FilterShim::Hooks{.stop = 2.5});
     }
     sim.add_process(p, std::move(host));
   }
