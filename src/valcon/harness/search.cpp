@@ -88,6 +88,17 @@ bool Candidate::operator==(const Candidate& other) const {
          seed == other.seed;
 }
 
+namespace {
+
+/// The candidate with every axis at its default: the values the wire gate
+/// leaves out of keys, cells and file names, and the ones shrinking tries.
+const Candidate& defaults() {
+  static const Candidate kDefaults;
+  return kDefaults;
+}
+
+}  // namespace
+
 std::string Candidate::key() const {
   std::ostringstream os;
   os << strategy << '/' << fault_count << '/' << vc_token(vc) << '/'
@@ -95,22 +106,17 @@ std::string Candidate::key() const {
      << '/' << n << '/' << t << '/' << io::json_number(gst) << '/'
      << io::json_number(delta) << '/' << domain << '/' << victims << '/'
      << observe << '/';
-  // Wire-gated like the cell JSON: per-vote / full-mesh (the historical
-  // only values) stay absent, so legacy keys are unchanged.
-  if (cert != core::CertMode::kPerVote) {
-    os << core::cert_mode_token(cert) << '/';
-  }
-  if (topology != "full-mesh") {
-    os << topology << '/';
-  }
+  // Wire-gated like the cell JSON: the defaults (the historical only
+  // values) stay absent, so legacy keys are unchanged.
+  if (cert != defaults().cert) os << core::cert_mode_token(cert) << '/';
+  if (topology != defaults().topology) os << topology << '/';
   os << seed;
   return os.str();
 }
 
 SweepPoint candidate_point(const Candidate& c) {
-  FaultSpec spec;
+  FaultSpec spec;  // "none" keeps the default strategy, with no faults
   if (c.strategy == "none") {
-    spec.strategy = "silent";
     spec.count = 0;
   } else {
     spec.strategy = c.strategy;
@@ -167,6 +173,22 @@ double near_miss_score(const SweepOutcome& outcome) {
     score += 3.0 / (1.0 + slack);
   }
   return score;
+}
+
+void SearchSpace::set_pool(Axis axis, const std::vector<std::string>& names) {
+  for (const std::string& name : names) axis_info(axis).check(name);
+  switch (axis) {
+    case Axis::kStrategy: strategies = names; break;
+    case Axis::kPattern: patterns = names; break;
+    case Axis::kNetProfile: net_profiles = names; break;
+    case Axis::kCertMode:
+      cert_modes.clear();
+      for (const std::string& name : names) {
+        cert_modes.push_back(*core::cert_mode_from_token(name));
+      }
+      break;
+    case Axis::kTopology: topologies = names; break;
+  }
 }
 
 namespace {
@@ -324,6 +346,16 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
   // verdict; the identity axes (strategy, stack, property) are never
   // touched — they name WHAT broke, not how hard the cell is to read.
   bool changed = true;
+  // Resets one axis to its default, the simpler cell, if the verdict holds.
+  const auto simplify = [&](auto field) {
+    if (cur.*field == defaults().*field) return;
+    Candidate next = cur;
+    next.*field = defaults().*field;
+    if (reproduces(next)) {
+      cur = next;
+      changed = true;
+    }
+  };
   while (changed && probes < options.max_shrink_probes) {
     changed = false;
     for (const auto& [n, t] : simpler_sizes(space, cur.n, cur.t)) {
@@ -350,22 +382,8 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
         break;
       }
     }
-    if (cur.pattern != "rotating") {
-      Candidate next = cur;
-      next.pattern = "rotating";
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
-    if (cur.net_profile != "uniform") {
-      Candidate next = cur;
-      next.net_profile = "uniform";
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
+    simplify(&Candidate::pattern);
+    simplify(&Candidate::net_profile);
     for (const Time gst : smaller_times(space.gsts, cur.gst)) {
       Candidate next = cur;
       next.gst = gst;
@@ -411,24 +429,10 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
     }
     // The per-vote backend is the simpler cell: a violation that survives
     // without aggregation is not about the QC layer at all.
-    if (cur.cert != core::CertMode::kPerVote) {
-      Candidate next = cur;
-      next.cert = core::CertMode::kPerVote;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
+    simplify(&Candidate::cert);
     // Likewise full-mesh: a violation that survives without the committee
     // overlay is not about the announce/relay layer at all.
-    if (cur.topology != "full-mesh") {
-      Candidate next = cur;
-      next.topology = "full-mesh";
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
+    simplify(&Candidate::topology);
   }
   // Seed re-derivation: the smallest seed in [1, seed_tries] below the
   // found one that still reproduces. Ascending order + first-accept keeps
@@ -566,13 +570,12 @@ void candidate_fields(std::ostream& os, const Candidate& c) {
      << "\"domain\": " << c.domain << ", "
      << "\"victims\": " << c.victims << ", "
      << "\"observe\": " << c.observe << ", ";
-  // Wire-gated (same convention as the sweep axes): the per-vote /
-  // full-mesh defaults are absent, so every legacy corpus cell keeps its
-  // exact bytes.
-  if (c.cert != core::CertMode::kPerVote) {
+  // Wire-gated (same convention as the sweep axes): the defaults are
+  // absent, so every legacy corpus cell keeps its exact bytes.
+  if (c.cert != defaults().cert) {
     os << "\"cert_mode\": \"" << core::cert_mode_token(c.cert) << "\", ";
   }
-  if (c.topology != "full-mesh") {
+  if (c.topology != defaults().topology) {
     os << "\"topology\": \"" << io::json_escape(c.topology) << "\", ";
   }
   os << "\"seed\": " << c.seed;
@@ -700,12 +703,8 @@ std::string cell_filename(const Counterexample& cx) {
   std::ostringstream os;
   os << verdict_token(cx.verdict) << "-" << vc_token(c.vc) << "-"
      << c.strategy;
-  if (c.cert != core::CertMode::kPerVote) {
-    os << "-" << core::cert_mode_token(c.cert);
-  }
-  if (c.topology != "full-mesh") {
-    os << "-" << c.topology;
-  }
+  if (c.cert != defaults().cert) os << "-" << core::cert_mode_token(c.cert);
+  if (c.topology != defaults().topology) os << "-" << c.topology;
   os << "-n" << c.n << "t" << c.t << "-s" << c.seed << ".json";
   return os.str();
 }

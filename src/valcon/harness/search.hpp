@@ -73,12 +73,14 @@ enum class Verdict {
 /// sweep uses (faulty ids are the highest ids, negative fields resolve
 /// per-scenario, near-miss recording is on).
 struct Candidate {
-  std::string strategy = "silent";  // "none" = fault-free
-  int fault_count = -1;             // -1 resolves to t
+  // Each named axis defaults to its axis-table default. Strategy "none"
+  // is fault-free.
+  std::string strategy = axis_info(Axis::kStrategy).default_value;
+  int fault_count = -1;  // -1 resolves to t
   VcKind vc = VcKind::kAuthenticated;
   ValidityKind validity = ValidityKind::kStrong;
-  std::string pattern = "rotating";
-  std::string net_profile = "uniform";
+  std::string pattern = axis_info(Axis::kPattern).default_value;
+  std::string net_profile = axis_info(Axis::kNetProfile).default_value;
   int n = 4;
   int t = 1;
   Time gst = 0.0;
@@ -90,12 +92,13 @@ struct Candidate {
   /// convention of the sweep axes: the per-vote default is absent from
   /// key(), the cell JSON and the cell file name, so every legacy corpus
   /// cell keeps its exact bytes and identity.
-  core::CertMode cert = core::CertMode::kPerVote;
+  core::CertMode cert =
+      *core::cert_mode_from_token(axis_info(Axis::kCertMode).default_value);
   /// Communication topology (harness/topology.hpp). Wire-gated like cert:
   /// the full-mesh default is absent from key(), the cell JSON and the
   /// cell file name. A committee larger than n evaluates to an error
   /// verdict (run_universal rejects it), never a crash.
-  std::string topology = "full-mesh";
+  std::string topology = axis_info(Axis::kTopology).default_value;
   std::uint64_t seed = 1;
 
   [[nodiscard]] bool operator==(const Candidate& other) const;
@@ -150,6 +153,11 @@ struct SearchSpace {
   /// enough for the committees, since a committee larger than n is an
   /// error cell.
   std::vector<std::string> topologies{"full-mesh"};
+
+  /// Replaces the pool of one named axis with `names`, each first passed
+  /// to the axis's check() (what valcon_search's filter flags call).
+  /// Throws std::invalid_argument for an unknown name.
+  void set_pool(Axis axis, const std::vector<std::string>& names);
 };
 
 struct SearchOptions {

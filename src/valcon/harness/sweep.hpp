@@ -1,15 +1,18 @@
 // Scenario-matrix engine: enumerates the cross product of protocol stack ×
 // validity property × proposal pattern × fault pattern × system size ×
-// network profile × network timing × seed, and fans the resulting
+// network profile × network timing × seed × certificate mode × topology,
+// and fans the resulting
 // (embarrassingly parallel) Simulator runs out over a thread pool. Every
 // run is a deterministic function of (config, seed), so results are
 // identical whatever the job count — the pool only changes wall-clock
 // time. Used by the valcon_sweep CLI, bench_sweep and the tests.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +25,48 @@
 
 namespace valcon::harness {
 
+/// The five named axes of the matrix, in table order: the order of their
+/// wire fields, label segments and checkpoint keys. (point_at's
+/// mixed-radix digit order is a separate, pinned order.)
+enum class Axis { kStrategy, kPattern, kNetProfile, kCertMode, kTopology };
+inline constexpr std::size_t kAxisCount = 5;
+
+/// One value per named axis, indexed by Axis.
+template <typename T>
+struct PerAxis {
+  std::array<T, kAxisCount> slots{};
+  T& operator[](Axis a) { return slots[static_cast<std::size_t>(a)]; }
+  const T& operator[](Axis a) const {
+    return slots[static_cast<std::size_t>(a)];
+  }
+  bool operator==(const PerAxis&) const = default;
+};
+
+/// How one named axis is spelled outside the code that gives its values
+/// meaning: its CLI filter flag (both CLIs), checkpoint key, wire field,
+/// label segment and default. A new axis is one entry of this table (see
+/// docs/sweeps.md, "Axes").
+struct AxisInfo {
+  Axis axis;
+  const char* name;            // in messages: "network profile"
+  const char* flag;            // "--net-profiles"
+  const char* checkpoint_key;  // "net_profiles"
+  /// Outcome-line field and label segment of a declared axis; empty for
+  /// the strategy axis, which reaches the wire through the fault list.
+  const char* wire_field;     // "net_profile"
+  const char* label_segment;  // "net"
+  const char* default_value;  // "uniform"
+  /// Throws std::invalid_argument for a value the axis's registry does not
+  /// know, listing the values it does.
+  void (*check)(const std::string& name);
+};
+
+/// The axis table, in Axis order.
+[[nodiscard]] const std::array<AxisInfo, kAxisCount>& axes();
+[[nodiscard]] const AxisInfo& axis_info(Axis axis);
+/// The axis whose filter flag is `flag`; nullopt for any other argument.
+[[nodiscard]] std::optional<Axis> axis_for_flag(const std::string& flag);
+
 /// One fault pattern of the matrix: `count` processes (the highest ids)
 /// fail with the same registered adversary strategy. `count` is clamped to
 /// each scenario's t, so one spec can cross several (n, t) sizes. Negative
@@ -30,7 +75,7 @@ namespace valcon::harness {
 /// (mod proposal domain), mutate_rate / switch_time / victims / observe
 /// < 0 -> the Fault defaults (see harness/scenario.hpp).
 struct FaultSpec {
-  std::string strategy = "silent";
+  std::string strategy = axis_info(Axis::kStrategy).default_value;
   int count = -1;
   Time crash_time = -1.0;
   Time release_time = -1.0;
@@ -58,23 +103,15 @@ struct SweepPoint {
   ValidityKind validity = ValidityKind::kStrong;
   /// Name of the proposal pattern that filled config.proposals (the
   /// network-profile name lives in config.net_profile.name).
-  std::string pattern = "rotating";
+  std::string pattern;
   std::string label;
-  /// Wire-format tags: equal to the pattern / network-profile name when
-  /// the matrix declares the corresponding axis non-trivially (anything
-  /// but the single default value), empty otherwise. Labels and outcome
-  /// lines carry the new fields only when the tag is set — which is what
-  /// keeps the pinned legacy matrices ("full") byte-identical.
-  std::string pattern_tag;
-  std::string net_profile_tag;
-  /// Certificate-backend tag, same wire gate: the cert_mode token when the
-  /// matrix declares the cert axis non-trivially (anything but the single
-  /// per-vote default), empty otherwise.
-  std::string cert_tag;
-  /// Topology tag, same wire gate: the topology name when the matrix
-  /// declares the topology axis non-trivially (anything but the single
-  /// full-mesh default), empty otherwise.
-  std::string topology_tag;
+  /// Wire-format tags, one per named axis: the cell's value of every axis
+  /// the matrix declares (sets to anything but its single default), empty
+  /// otherwise. Labels and outcome lines carry a tagged axis's segment
+  /// and field, so matrices that leave an axis at its default — the
+  /// pinned legacy matrices above all — keep their bytes. The strategy
+  /// tag is always empty: faults reach the wire through the fault list.
+  PerAxis<std::string> tags;
   /// Wire-format gate for the near-miss axis (same convention as the tags
   /// above): true only when the matrix opted in via record_near_miss(), so
   /// legacy outcome lines never grow the new fields.
@@ -82,49 +119,39 @@ struct SweepPoint {
 };
 
 /// Builder for the cross product. Each setter replaces one dimension; the
-/// defaults give a single authenticated Strong-validity fault-free cell.
+/// defaults give a single authenticated Strong-validity cell at n=4, t=1
+/// with t silent faults. A named axis's setter also decides its wire gate:
+/// the axis is declared, and tags every cell, unless set to exactly its
+/// single default.
 class ScenarioMatrix {
  public:
+  ScenarioMatrix();
   ScenarioMatrix& vc_kinds(std::vector<VcKind> v);
   ScenarioMatrix& validities(std::vector<ValidityKind> v);
   /// Proposal-pattern names (PatternRegistry); default {"rotating"}, the
   /// historical (p + seed) % domain assignment.
   ScenarioMatrix& patterns(std::vector<std::string> names);
-  /// Keeps only the named proposal patterns. Throws std::invalid_argument
-  /// for an empty keep-list, for an unregistered name and for a name that
-  /// selects no pattern of this matrix (nothing requested may be dropped
-  /// silently) — this is what `valcon_sweep --patterns` calls.
-  ScenarioMatrix& keep_patterns(const std::vector<std::string>& keep);
   ScenarioMatrix& faults(std::vector<FaultSpec> v);
-  /// Keeps only the fault specs whose effective strategy name is in `keep`
-  /// ("none" selects the fault-free spec). Throws std::invalid_argument for
-  /// an empty keep-list, for a name that is neither "none" nor registered,
-  /// and for a name that selects no spec of this matrix (nothing requested
-  /// may be dropped silently) — this is what `valcon_sweep --strategies`
-  /// calls.
-  ScenarioMatrix& keep_strategies(const std::vector<std::string>& keep);
+  /// Keeps only the values of `axis` named in `names`; on the strategy
+  /// axis, the fault specs whose effective strategy is named ("none"
+  /// selects the fault-free spec). Throws std::invalid_argument for an
+  /// empty list, for a name the axis's check() rejects, and for a name
+  /// that selects no value of this matrix (nothing requested may be
+  /// dropped silently) — this is what the CLIs' filter flags call. The
+  /// wire gate is left alone: a filter never changes the bytes of the
+  /// cells it keeps.
+  ScenarioMatrix& keep(Axis axis, const std::vector<std::string>& names);
   /// (n, t) pairs; every pair must satisfy 0 <= t < n.
   ScenarioMatrix& sizes(std::vector<std::pair<int, int>> nt);
   /// Network-profile names (named_network_profile()); default
   /// {"uniform"}, the legacy stock network.
   ScenarioMatrix& network_profiles(std::vector<std::string> names);
-  /// Keeps only the named network profiles, with the same loud-failure
-  /// contract as keep_patterns — this is what `valcon_sweep
-  /// --net-profiles` calls.
-  ScenarioMatrix& keep_network_profiles(const std::vector<std::string>& keep);
   /// Certificate backends (ScenarioConfig::cert_mode); default
   /// {kPerVote}, the legacy one-verify-per-vote wire format.
   ScenarioMatrix& cert_modes(std::vector<core::CertMode> modes);
-  /// Keeps only the named certificate backends ("per-vote" / "aggregate"),
-  /// with the same loud-failure contract as keep_patterns — this is what
-  /// `valcon_sweep --cert-modes` calls.
-  ScenarioMatrix& keep_cert_modes(const std::vector<std::string>& keep);
   /// Topology names (named_topology(): "full-mesh" / "committee-<k>");
   /// default {"full-mesh"}, the legacy everyone-runs-the-stack shape.
   ScenarioMatrix& topologies(std::vector<std::string> names);
-  /// Keeps only the named topologies, with the same loud-failure contract
-  /// as keep_patterns — this is what `valcon_sweep --topologies` calls.
-  ScenarioMatrix& keep_topologies(const std::vector<std::string>& keep);
   ScenarioMatrix& gsts(std::vector<Time> v);
   ScenarioMatrix& deltas(std::vector<Time> v);
   ScenarioMatrix& seeds(std::vector<std::uint64_t> v);
@@ -156,8 +183,10 @@ class ScenarioMatrix {
   /// tractable: a shard enumerates its slice cell by cell without ever
   /// materializing the full point vector, and the index ↔ cell mapping is
   /// stable across processes and machines as long as the dimensions
-  /// match. Throws std::invalid_argument on bad dimensions and
-  /// std::out_of_range for index >= size().
+  /// match. Shard files and checkpoints index cells by this order, so it
+  /// is pinned here, not derived from the axis table. Throws
+  /// std::invalid_argument on bad dimensions and std::out_of_range for
+  /// index >= size().
   [[nodiscard]] SweepPoint point_at(std::size_t index) const;
 
   /// Materializes the cross product: point_at() over [0, size()). Every
@@ -168,14 +197,16 @@ class ScenarioMatrix {
  private:
   /// Shared dimension validation for build()/point_at().
   void check_dimensions() const;
+  /// The named-axis setters: stores `values` and decides the wire gate.
+  ScenarioMatrix& declare(Axis axis, std::vector<std::string> values);
   std::vector<VcKind> vcs_{VcKind::kAuthenticated};
   std::vector<ValidityKind> validities_{ValidityKind::kStrong};
-  std::vector<std::string> patterns_{"rotating"};
   std::vector<FaultSpec> faults_{FaultSpec{}};
   std::vector<std::pair<int, int>> sizes_{{4, 1}};
-  std::vector<std::string> net_profiles_{"uniform"};
-  std::vector<core::CertMode> cert_modes_{core::CertMode::kPerVote};
-  std::vector<std::string> topologies_{"full-mesh"};
+  /// Values of the string-valued named axes (cert modes as tokens); the
+  /// strategy slot stays empty, since faults_ holds that axis.
+  PerAxis<std::vector<std::string>> values_;
+  PerAxis<bool> declared_;
   std::vector<Time> gsts_{0.0};
   std::vector<Time> deltas_{1.0};
   std::vector<std::uint64_t> seeds_{1};

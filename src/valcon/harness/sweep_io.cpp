@@ -204,22 +204,14 @@ std::string outcome_line(const SweepOutcome& o) {
      << "\"gst\": " << json_number(cfg.gst) << ", "
      << "\"delta\": " << json_number(cfg.delta) << ", "
      << "\"seed\": " << cfg.seed << ", ";
-  // The proposal-pattern / network-profile fields appear only when the
-  // matrix declares the axis non-trivially (the tag is set): legacy
-  // matrices — the pinned "full" document above all — keep their exact
-  // legacy bytes.
-  if (!o.point.pattern_tag.empty()) {
-    os << "\"pattern\": \"" << json_escape(o.point.pattern_tag) << "\", ";
-  }
-  if (!o.point.net_profile_tag.empty()) {
-    os << "\"net_profile\": \"" << json_escape(o.point.net_profile_tag)
-       << "\", ";
-  }
-  if (!o.point.cert_tag.empty()) {
-    os << "\"cert_mode\": \"" << json_escape(o.point.cert_tag) << "\", ";
-  }
-  if (!o.point.topology_tag.empty()) {
-    os << "\"topology\": \"" << json_escape(o.point.topology_tag) << "\", ";
+  // A named axis's field appears only when the matrix declares the axis
+  // (the tag is set): legacy matrices — the pinned "full" document above
+  // all — keep their exact legacy bytes.
+  for (const AxisInfo& info : axes()) {
+    const std::string& tag = o.point.tags[info.axis];
+    if (!tag.empty()) {
+      os << "\"" << info.wire_field << "\": \"" << json_escape(tag) << "\", ";
+    }
   }
   os << "\"faults\": [";
   bool first = true;
@@ -254,7 +246,7 @@ std::string outcome_line(const SweepOutcome& o) {
   // cert_mode field above): it is the number the axis is about, and it is
   // deterministic per cell, so the "certs" document doubles as the
   // job-count determinism reference for the aggregate backend.
-  if (!o.point.cert_tag.empty()) {
+  if (!o.point.tags[Axis::kCertMode].empty()) {
     os << ", \"verifies_total\": " << o.result.verifies_total;
   }
   // The near-miss fields exist only when the matrix opted in
@@ -486,9 +478,7 @@ void merge_documents(std::ostream& os, std::vector<ShardDocument> docs) {
 // ------------------------------------------------------------ checkpoint
 
 bool Checkpoint::same_work(const Checkpoint& other) const {
-  return matrix == other.matrix && strategies == other.strategies &&
-         patterns == other.patterns && net_profiles == other.net_profiles &&
-         cert_modes == other.cert_modes && topologies == other.topologies &&
+  return matrix == other.matrix && filters == other.filters &&
          shard.index == other.shard.index &&
          shard.count == other.shard.count && total == other.total &&
          begin == other.begin && end == other.end;
@@ -496,12 +486,12 @@ bool Checkpoint::same_work(const Checkpoint& other) const {
 
 std::string Checkpoint::to_json() const {
   std::ostringstream os;
-  os << "{\"matrix\": \"" << json_escape(matrix) << "\", \"strategies\": \""
-     << json_escape(strategies) << "\", \"patterns\": \""
-     << json_escape(patterns) << "\", \"net_profiles\": \""
-     << json_escape(net_profiles) << "\", \"cert_modes\": \""
-     << json_escape(cert_modes) << "\", \"topologies\": \""
-     << json_escape(topologies) << "\", \"shard_index\": " << shard.index
+  os << "{\"matrix\": \"" << json_escape(matrix) << "\", ";
+  for (const AxisInfo& info : axes()) {
+    os << "\"" << info.checkpoint_key << "\": \""
+       << json_escape(filters[info.axis]) << "\", ";
+  }
+  os << "\"shard_index\": " << shard.index
      << ", \"shard_count\": " << shard.count << ", \"total\": " << total
      << ", \"begin\": " << begin << ", \"end\": " << end
      << ", \"next\": " << next << ", \"sidecar_bytes\": " << sidecar_bytes
@@ -512,18 +502,21 @@ std::string Checkpoint::to_json() const {
 Checkpoint Checkpoint::parse(const std::string& text) {
   Checkpoint cp;
   const auto matrix = string_field(text, "matrix");
-  const auto strategies = string_field(text, "strategies");
-  if (!matrix.has_value() || !strategies.has_value()) {
-    throw std::runtime_error("malformed checkpoint: missing matrix/strategies");
+  if (!matrix.has_value()) {
+    throw std::runtime_error("malformed checkpoint: missing matrix");
   }
   cp.matrix = *matrix;
-  cp.strategies = *strategies;
-  // Pre-pattern-axis checkpoints carry neither filter field; they resume
-  // as "no filter", which is exactly the work they recorded.
-  cp.patterns = string_field(text, "patterns").value_or("");
-  cp.net_profiles = string_field(text, "net_profiles").value_or("");
-  cp.cert_modes = string_field(text, "cert_modes").value_or("");
-  cp.topologies = string_field(text, "topologies").value_or("");
+  for (const AxisInfo& info : axes()) {
+    const auto filter = string_field(text, info.checkpoint_key);
+    // Every checkpoint records the strategy filter. One predating a later
+    // axis lacks its key and resumes as "no filter", which is exactly the
+    // work it recorded.
+    if (!filter.has_value() && info.axis == Axis::kStrategy) {
+      throw std::runtime_error(std::string("malformed checkpoint: missing ") +
+                               info.checkpoint_key);
+    }
+    cp.filters[info.axis] = filter.value_or("");
+  }
   cp.shard.index =
       static_cast<int>(size_field_or_throw(text, "shard_index", "checkpoint"));
   cp.shard.count =

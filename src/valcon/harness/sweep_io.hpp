@@ -153,15 +153,11 @@ void merge_documents(std::ostream& os, std::vector<ShardDocument> docs);
 /// `<checkpoint>.scenarios`, one line each, in index order.
 struct Checkpoint {
   std::string matrix;
-  std::string strategies;  // canonical comma-join of the --strategies list
-  /// Canonical comma-joins of the --patterns / --net-profiles /
-  /// --cert-modes / --topologies filters. Absent from checkpoint files
-  /// predating the corresponding axis; parse() defaults each to "" (no
-  /// filter), so old checkpoints keep resuming.
-  std::string patterns;
-  std::string net_profiles;
-  std::string cert_modes;
-  std::string topologies;
+  /// Canonical comma-join of each named axis's filter ("" = unfiltered),
+  /// stored under the axis's checkpoint key. Files predating an axis lack
+  /// its key; parse() reads that as "" (no filter), so old checkpoints
+  /// keep resuming. Only the strategy key is required.
+  PerAxis<std::string> filters;
   ShardSpec shard;
   std::size_t total = 0;
   std::size_t begin = 0;

@@ -210,9 +210,8 @@ TEST(NetworkProfiles, EveryProfileStillReachesConsensusUnderEveryStack) {
   const StrongValidity validity;
   std::map<std::string, Time> latency;
   for (const VcKind kind : kAllVcs) {
-    for (const std::string& name :
-         {"uniform", "pre-gst-starve", "targeted-slow-links",
-          "sampled-overlay"}) {
+    for (const char* name : {"uniform", "pre-gst-starve",
+                             "targeted-slow-links", "sampled-overlay"}) {
       SCOPED_TRACE(harness::to_string(kind) + " / " + name);
       ScenarioConfig cfg;
       cfg.n = 4;
@@ -257,8 +256,9 @@ TEST(PatternMatrix, SizeIsTheCrossProductOverAllNineDimensions) {
     // Both axes are non-trivial, so every label carries both tags.
     EXPECT_NE(point.label.find(" pat="), std::string::npos) << point.label;
     EXPECT_NE(point.label.find(" net="), std::string::npos) << point.label;
-    EXPECT_EQ(point.pattern_tag, point.pattern);
-    EXPECT_EQ(point.net_profile_tag, point.config.net_profile.name);
+    EXPECT_EQ(point.tags[harness::Axis::kPattern], point.pattern);
+    EXPECT_EQ(point.tags[harness::Axis::kNetProfile],
+              point.config.net_profile.name);
     labels.insert(point.label);
   }
   EXPECT_EQ(labels.size(), points.size()) << "labels must be unique";
@@ -279,8 +279,7 @@ TEST(PatternMatrix, PointAtMatchesBuildOnTheValidityMatrix) {
     EXPECT_EQ(lazy.label, expected.label);
     EXPECT_EQ(lazy.validity, expected.validity);
     EXPECT_EQ(lazy.pattern, expected.pattern);
-    EXPECT_EQ(lazy.pattern_tag, expected.pattern_tag);
-    EXPECT_EQ(lazy.net_profile_tag, expected.net_profile_tag);
+    EXPECT_EQ(lazy.tags.slots, expected.tags.slots);
     EXPECT_EQ(lazy.config.proposals, expected.config.proposals);
     EXPECT_EQ(lazy.config.net_profile.name, expected.config.net_profile.name);
     EXPECT_EQ(lazy.config.seed, expected.config.seed);
@@ -357,43 +356,6 @@ TEST(CorrectProposal, SolvedAtN4T1UnderTheDomain2AdversarialPattern) {
     ++checked;
   }
   EXPECT_EQ(checked, 36u);  // 3 stacks x 2 faults x 3 profiles x 2 gsts
-}
-
-// ------------------------------------------------------------- the filters
-
-TEST(PatternFilters, KeepOnlyTheNamedValues) {
-  const auto points = harness::named_matrix("validity")
-                          .keep_patterns({"adversarial"})
-                          .keep_network_profiles({"uniform", "pre-gst-starve"})
-                          .build();
-  ASSERT_EQ(points.size(), 720u / 4u / 3u * 2u);
-  for (const auto& point : points) {
-    EXPECT_EQ(point.pattern, "adversarial");
-    EXPECT_TRUE(point.config.net_profile.name == "uniform" ||
-                point.config.net_profile.name == "pre-gst-starve")
-        << point.label;
-  }
-}
-
-TEST(PatternFilters, RejectUnknownNamesAndUnmatchedRequests) {
-  // An empty filter would shrink the matrix to zero cells — a sweep that
-  // runs nothing and exits green (e.g. `--patterns ,` splitting to {}).
-  EXPECT_THROW(harness::named_matrix("validity").keep_patterns({}),
-               std::invalid_argument);
-  EXPECT_THROW(harness::named_matrix("validity").keep_network_profiles({}),
-               std::invalid_argument);
-  EXPECT_THROW(harness::named_matrix("validity").keep_patterns({"bogus"}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      harness::named_matrix("validity").keep_network_profiles({"bogus"}),
-      std::invalid_argument);
-  // Registered, but not swept by the "full" matrix: must not silently
-  // produce an empty (or unfiltered) sweep.
-  EXPECT_THROW(harness::named_matrix("full").keep_patterns({"unanimous"}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      harness::named_matrix("full").keep_network_profiles({"pre-gst-starve"}),
-      std::invalid_argument);
 }
 
 // ------------------------------------------------- build-time range checks
@@ -546,8 +508,8 @@ TEST(LegacyWireFormat, FullMatrixCellZeroIsByteIdenticalToPreRefactor) {
   const ScenarioMatrix matrix = harness::named_matrix("full");
   const SweepPoint point = matrix.point_at(0);
   EXPECT_EQ(point.pattern, "rotating");
-  EXPECT_TRUE(point.pattern_tag.empty());
-  EXPECT_TRUE(point.net_profile_tag.empty());
+  EXPECT_TRUE(point.tags[harness::Axis::kPattern].empty());
+  EXPECT_TRUE(point.tags[harness::Axis::kNetProfile].empty());
   const SweepOutcome outcome = harness::run_point(point);
   EXPECT_EQ(
       harness::io::outcome_line(outcome),
@@ -565,8 +527,9 @@ TEST(LegacyWireFormat, LegacyMatricesCarryNoAxisTags) {
   for (const char* name : {"smoke", "full", "byzantine"}) {
     SCOPED_TRACE(name);
     for (const auto& point : harness::named_matrix(name).build()) {
-      EXPECT_TRUE(point.pattern_tag.empty()) << point.label;
-      EXPECT_TRUE(point.net_profile_tag.empty()) << point.label;
+      for (const std::string& tag : point.tags.slots) {
+        EXPECT_TRUE(tag.empty()) << point.label;
+      }
       EXPECT_EQ(point.label.find(" pat="), std::string::npos) << point.label;
       EXPECT_EQ(point.label.find(" net="), std::string::npos) << point.label;
       EXPECT_EQ(point.config.net_profile.name, "uniform");

@@ -1,15 +1,21 @@
 // Sharding, checkpointing and the sweep JSON wire format
 // (harness/sweep_io.hpp): escaping of control characters, strict CLI
 // parsers, balanced shard ranges, outcome-line round-trips, checkpoint
-// persistence (including torn-sidecar recovery) and the merge-tool
-// verification that shards are disjoint and exhaustive.
+// persistence (including torn-sidecar recovery), the merge-tool
+// verification that shards are disjoint and exhaustive, and the contract
+// every named axis of the matrix keeps (filter, wire gate, checkpoint key,
+// value check), run once per entry of the axis table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "valcon/harness/search.hpp"
 #include "valcon/harness/sweep.hpp"
 #include "valcon/harness/sweep_io.hpp"
 
@@ -171,7 +177,8 @@ TEST(OutcomeLine, AxisTagsSurfaceOnlyWhenTheMatrixDeclaresThem) {
   EXPECT_EQ(legacy_line.find("\"net_profile\""), std::string::npos);
 
   const SweepOutcome tagged = run_point(
-      named_matrix("validity").keep_patterns({"adversarial"}).point_at(0));
+      named_matrix("validity").keep(Axis::kPattern, {"adversarial"})
+          .point_at(0));
   const std::string tagged_line = io::outcome_line(tagged);
   EXPECT_NE(tagged_line.find("\"pattern\": \"adversarial\""),
             std::string::npos)
@@ -213,9 +220,9 @@ TEST(JsonSummary, AccumulatesMeansOverDecidedRunsOnly) {
 TEST(Checkpoint, JsonRoundTripAndWorkIdentity) {
   io::Checkpoint cp;
   cp.matrix = "full";
-  cp.strategies = "crash,equivocate";
-  cp.patterns = "adversarial,rotating";
-  cp.net_profiles = "pre-gst-starve";
+  cp.filters[Axis::kStrategy] = "crash,equivocate";
+  cp.filters[Axis::kPattern] = "adversarial,rotating";
+  cp.filters[Axis::kNetProfile] = "pre-gst-starve";
   cp.shard = {2, 5};
   cp.total = 720;
   cp.begin = 288;
@@ -228,13 +235,13 @@ TEST(Checkpoint, JsonRoundTripAndWorkIdentity) {
   EXPECT_EQ(back.sidecar_bytes, 4711u);
 
   io::Checkpoint other = cp;
-  other.strategies = "crash";
+  other.filters[Axis::kStrategy] = "crash";
   EXPECT_FALSE(other.same_work(cp));
   other = cp;
-  other.patterns = "rotating";
+  other.filters[Axis::kPattern] = "rotating";
   EXPECT_FALSE(other.same_work(cp));
   other = cp;
-  other.net_profiles = "";
+  other.filters[Axis::kNetProfile] = "";
   EXPECT_FALSE(other.same_work(cp));
   other = cp;
   other.shard.index = 3;
@@ -252,25 +259,6 @@ TEST(Checkpoint, JsonRoundTripAndWorkIdentity) {
   bad.next = 10;  // outside [begin, end]
   EXPECT_THROW(static_cast<void>(io::Checkpoint::parse(bad.to_json())),
                std::runtime_error);
-}
-
-TEST(Checkpoint, ParsesPrePatternAxisFilesAsUnfiltered) {
-  // A checkpoint written before the pattern / net-profile axes existed
-  // carries neither filter field; it must keep resuming as "no filter"
-  // rather than failing or mismatching its own work.
-  const std::string legacy =
-      "{\"matrix\": \"full\", \"strategies\": \"\", \"shard_index\": 0, "
-      "\"shard_count\": 1, \"total\": 720, \"begin\": 0, \"end\": 720, "
-      "\"next\": 100, \"sidecar_bytes\": 12345}\n";
-  const io::Checkpoint cp = io::Checkpoint::parse(legacy);
-  EXPECT_EQ(cp.patterns, "");
-  EXPECT_EQ(cp.net_profiles, "");
-  EXPECT_EQ(cp.next, 100u);
-  io::Checkpoint fresh;
-  fresh.matrix = "full";
-  fresh.total = 720;
-  fresh.end = 720;
-  EXPECT_TRUE(fresh.same_work(cp));
 }
 
 TEST(Checkpoint, AtomicWriteAndSidecarTornLineRecovery) {
@@ -358,4 +346,272 @@ TEST(ParseDocument, RejectsMalformedDocuments) {
       "\"begin\": 0, \"end\": 9},\n"
       "  \"scenarios\": [\n  ],\n  \"summary\": {}\n}\n";
   EXPECT_THROW(static_cast<void>(parse_text(bad)), std::runtime_error);
+}
+
+// ----------------------------------------------------- the axis contract
+
+namespace valcon::harness {
+// Names the parameter in test listings.
+void PrintTo(Axis axis, std::ostream* os) { *os << axis_info(axis).name; }
+}  // namespace valcon::harness
+
+namespace {
+
+/// Per-axis data for the contract suite.
+struct AxisCase {
+  ScenarioMatrix (*wide)();        // sweeps the axis, its default included
+  std::vector<std::string> keep;   // a strict subset of wide()'s values
+  ScenarioMatrix (*narrow)();      // lacks `absent`
+  std::string absent;              // registered with the axis's registry
+};
+
+AxisCase case_for(Axis axis) {
+  const auto smoke = [] { return named_matrix("smoke"); };
+  const auto full = [] { return named_matrix("full"); };
+  const auto validity = [] { return named_matrix("validity"); };
+  switch (axis) {
+    case Axis::kStrategy:
+      return {smoke, {"crash", "none"}, smoke, "equivocate-scheduled"};
+    case Axis::kPattern:
+      return {validity, {"adversarial"}, full, "unanimous"};
+    case Axis::kNetProfile:
+      return {validity, {"uniform", "pre-gst-starve"}, full, "pre-gst-starve"};
+    case Axis::kCertMode:
+      return {[] { return named_matrix("certs"); }, {"aggregate"}, full,
+              "aggregate"};
+    case Axis::kTopology:
+      return {[] {
+                return named_matrix("smoke").topologies(
+                    {"full-mesh", "committee-4"});
+              },
+              {"committee-4"},
+              [] { return named_matrix("smoke").topologies({"committee-4"}); },
+              "full-mesh"};
+  }
+  return {};
+}
+
+/// The cell's value of `axis`, read from its config, not its tags.
+std::string value_of(Axis axis, const SweepPoint& p) {
+  switch (axis) {
+    case Axis::kStrategy:
+      return p.config.faults.empty() ? "none"
+                                     : p.config.faults.begin()->second.strategy;
+    case Axis::kPattern: return p.pattern;
+    case Axis::kNetProfile: return p.config.net_profile.name;
+    case Axis::kCertMode: return core::cert_mode_token(p.config.cert_mode);
+    case Axis::kTopology: return p.config.topology.name;
+  }
+  return "";
+}
+
+/// A default matrix with `axis` set to `values` through its typed setter.
+ScenarioMatrix with_axis(Axis axis, const std::vector<std::string>& values) {
+  ScenarioMatrix matrix;
+  switch (axis) {
+    case Axis::kStrategy: {
+      std::vector<FaultSpec> specs;
+      for (const std::string& v : values) specs.push_back(FaultSpec{v});
+      return matrix.faults(specs);
+    }
+    case Axis::kPattern: return matrix.patterns(values);
+    case Axis::kNetProfile: return matrix.network_profiles(values);
+    case Axis::kCertMode: {
+      std::vector<core::CertMode> modes;
+      for (const std::string& v : values) {
+        modes.push_back(*core::cert_mode_from_token(v));
+      }
+      return matrix.cert_modes(modes);
+    }
+    case Axis::kTopology: return matrix.topologies(values);
+  }
+  return matrix;
+}
+
+/// Each cell of `filtered` carries the label, tags and outcome line of the
+/// cell with that label in `unfiltered`: a filter never changes bytes.
+void expect_kept_cells_unchanged(const ScenarioMatrix& unfiltered,
+                                 const ScenarioMatrix& filtered) {
+  std::map<std::string, SweepPoint> by_label;
+  for (SweepPoint& p : unfiltered.build()) by_label[p.label] = std::move(p);
+  ASSERT_EQ(by_label.size(), unfiltered.size()) << "labels must be unique";
+  ASSERT_GT(filtered.size(), 0u);
+  ASSERT_LT(filtered.size(), unfiltered.size());
+  for (std::size_t i = 0; i < filtered.size(); ++i) {
+    const SweepPoint kept = filtered.point_at(i);
+    const auto same = by_label.find(kept.label);
+    ASSERT_NE(same, by_label.end()) << kept.label;
+    EXPECT_EQ(kept.tags.slots, same->second.tags.slots) << kept.label;
+    EXPECT_EQ(io::outcome_line(run_point(kept)),
+              io::outcome_line(run_point(same->second)));
+  }
+}
+
+class AxisContract : public ::testing::TestWithParam<Axis> {};
+
+}  // namespace
+
+TEST_P(AxisContract, FilterKeepsExactlyTheNamedValues) {
+  const Axis axis = GetParam();
+  const AxisCase c = case_for(axis);
+  std::vector<std::string> expected;
+  for (const SweepPoint& p : c.wide().build()) {
+    const std::string value = value_of(axis, p);
+    if (std::find(c.keep.begin(), c.keep.end(), value) != c.keep.end()) {
+      expected.push_back(p.label);
+    }
+  }
+  std::vector<std::string> kept;
+  std::set<std::string> values;
+  for (const SweepPoint& p : c.wide().keep(axis, c.keep).build()) {
+    kept.push_back(p.label);
+    values.insert(value_of(axis, p));
+  }
+  EXPECT_EQ(kept, expected);
+  EXPECT_EQ(values, std::set<std::string>(c.keep.begin(), c.keep.end()));
+  EXPECT_LT(kept.size(), c.wide().size());
+}
+
+TEST_P(AxisContract, FilterRejectsBadRequests) {
+  const Axis axis = GetParam();
+  const AxisCase c = case_for(axis);
+  // An empty filter would shrink the matrix to zero cells — a sweep that
+  // runs nothing and exits green (e.g. `--patterns ,` splitting to {}).
+  EXPECT_THROW(c.wide().keep(axis, {}), std::invalid_argument);
+  EXPECT_THROW(c.wide().keep(axis, {"bogus"}), std::invalid_argument);
+  // Registered, but not swept by the matrix: must not silently produce an
+  // empty (or unfiltered) sweep.
+  EXPECT_THROW(c.narrow().keep(axis, {c.absent}), std::invalid_argument);
+  // A partially-matching request must not silently drop the absent name.
+  const std::string present = value_of(axis, c.narrow().point_at(0));
+  EXPECT_THROW(c.narrow().keep(axis, {present, c.absent}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(c.narrow().keep(axis, {present}));
+}
+
+TEST_P(AxisContract, FilterNeverChangesKeptCellBytes) {
+  // Narrowing a declared axis to its default keeps the axis's field and
+  // label segment: the matrix declared the axis, the filter does not undo
+  // that.
+  const Axis axis = GetParam();
+  const AxisCase c = case_for(axis);
+  ScenarioMatrix filtered = c.wide();
+  filtered.keep(axis, {axis_info(axis).default_value});
+  expect_kept_cells_unchanged(c.wide(), filtered);
+}
+
+TEST_P(AxisContract, WireGateFollowsTheDeclaration) {
+  const Axis axis = GetParam();
+  const AxisInfo& info = axis_info(axis);
+  const std::string segment = std::string(" ") + info.label_segment + "=";
+  const std::string field = std::string("\"") + info.wire_field + "\": \"";
+  // Declared only at its default: no tag, no label segment, no field.
+  const SweepOutcome quiet =
+      run_point(with_axis(axis, {info.default_value}).point_at(0));
+  EXPECT_TRUE(quiet.point.tags[axis].empty());
+  EXPECT_EQ(quiet.point.label.find(segment), std::string::npos);
+  EXPECT_EQ(io::outcome_line(quiet).find(field), std::string::npos);
+  // Declared with another value too: every cell carries both.
+  const std::vector<std::string>& keep = case_for(axis).keep;
+  const auto other = std::find_if(keep.begin(), keep.end(), [&](auto& v) {
+    return v != info.default_value;
+  });
+  ASSERT_NE(other, keep.end());
+  const ScenarioMatrix loud = with_axis(axis, {info.default_value, *other});
+  ASSERT_EQ(loud.size(), 2u);
+  for (std::size_t i = 0; i < loud.size(); ++i) {
+    const SweepOutcome o = run_point(loud.point_at(i));
+    const std::string& tag = o.point.tags[axis];
+    if (axis == Axis::kStrategy) {
+      // No gated field: a strategy reaches the wire in the fault list.
+      EXPECT_TRUE(tag.empty());
+      continue;
+    }
+    EXPECT_EQ(tag, value_of(axis, o.point));
+    EXPECT_NE(o.point.label.find(segment + tag), std::string::npos)
+        << o.point.label;
+    EXPECT_NE(io::outcome_line(o).find(field + tag + "\""), std::string::npos);
+  }
+}
+
+TEST_P(AxisContract, CheckpointRoundTripsAndReadsOldFiles) {
+  const AxisInfo& info = axis_info(GetParam());
+  io::Checkpoint cp;
+  cp.matrix = "full";
+  cp.total = 720;
+  cp.end = 720;
+  cp.next = 100;
+  cp.sidecar_bytes = 12345;
+  cp.filters[info.axis] = "a,b";
+  const io::Checkpoint back = io::Checkpoint::parse(cp.to_json());
+  EXPECT_EQ(back.filters[info.axis], "a,b");
+  EXPECT_TRUE(cp.same_work(back));
+  io::Checkpoint other = cp;
+  other.filters[info.axis] = "a";
+  EXPECT_FALSE(cp.same_work(other));
+
+  // A checkpoint written before the axis existed lacks its key. It keeps
+  // resuming as "no filter" rather than failing or mismatching its own
+  // work; only the strategy key is required.
+  std::string older = cp.to_json();
+  const std::string member =
+      std::string("\"") + info.checkpoint_key + "\": \"a,b\", ";
+  const auto at = older.find(member);
+  ASSERT_NE(at, std::string::npos);
+  older.erase(at, member.size());
+  if (info.axis == Axis::kStrategy) {
+    EXPECT_THROW(static_cast<void>(io::Checkpoint::parse(older)),
+                 std::runtime_error);
+    return;
+  }
+  const io::Checkpoint parsed = io::Checkpoint::parse(older);
+  EXPECT_EQ(parsed.filters[info.axis], "");
+  EXPECT_EQ(parsed.next, 100u);
+  io::Checkpoint fresh;
+  fresh.matrix = "full";
+  fresh.total = 720;
+  fresh.end = 720;
+  EXPECT_TRUE(fresh.same_work(parsed));
+}
+
+TEST_P(AxisContract, CheckRejectsUnknownNames) {
+  const AxisInfo& info = axis_info(GetParam());
+  EXPECT_EQ(axis_for_flag(info.flag), std::optional<Axis>(info.axis));
+  EXPECT_EQ(axis_for_flag("--matrix"), std::nullopt);
+  EXPECT_NO_THROW(info.check(info.default_value));
+  for (const std::string& name : case_for(info.axis).keep) {
+    EXPECT_NO_THROW(info.check(name));
+  }
+  try {
+    info.check("bogus");
+    ADD_FAILURE() << "check accepted an unknown " << info.name;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(info.default_value),
+              std::string::npos)
+        << e.what();
+  }
+  // valcon_search's filter flags run the same check before any candidate
+  // does, so an unknown name is a usage error, not an error verdict.
+  SearchSpace space;
+  EXPECT_THROW(space.set_pool(info.axis, {info.default_value, "bogus"}),
+               std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Axes, AxisContract,
+    ::testing::Values(Axis::kStrategy, Axis::kPattern, Axis::kNetProfile,
+                      Axis::kCertMode, Axis::kTopology),
+    [](const ::testing::TestParamInfo<Axis>& param) {
+      return std::string(axis_info(param.param).checkpoint_key);
+    });
+
+TEST(AxisFilter, NarrowingTwoDeclaredAxesToTheirDefaultsKeepsTheirFields) {
+  // Filtered this way, validity used to lose pattern, net_profile and both
+  // label segments. (certs filtered to per-vote, which used to lose
+  // cert_mode and verifies_total, is FilterNeverChangesKeptCellBytes
+  // on the cert-mode axis.)
+  ScenarioMatrix validity = named_matrix("validity");
+  validity.keep(Axis::kPattern, {"rotating"})
+      .keep(Axis::kNetProfile, {"uniform"});
+  expect_kept_cells_unchanged(named_matrix("validity"), validity);
 }

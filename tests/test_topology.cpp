@@ -191,7 +191,7 @@ TEST(TopologyAxis, WireGatedLikeTheOtherAxes) {
   const ScenarioMatrix legacy = named_matrix("smoke");
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     const SweepPoint p = legacy.point_at(i);
-    EXPECT_TRUE(p.topology_tag.empty());
+    EXPECT_TRUE(p.tags[Axis::kTopology].empty());
     EXPECT_EQ(p.label.find("topo="), std::string::npos);
   }
 
@@ -203,47 +203,12 @@ TEST(TopologyAxis, WireGatedLikeTheOtherAxes) {
   bool saw_committee = false;
   for (std::size_t i = 0; i < wide.size(); ++i) {
     const SweepPoint p = wide.point_at(i);
-    EXPECT_FALSE(p.topology_tag.empty());
-    EXPECT_NE(p.label.find("topo=" + p.topology_tag), std::string::npos);
-    if (p.topology_tag == "committee-4") saw_committee = true;
+    const std::string& tag = p.tags[Axis::kTopology];
+    EXPECT_FALSE(tag.empty());
+    EXPECT_NE(p.label.find("topo=" + tag), std::string::npos);
+    if (tag == "committee-4") saw_committee = true;
   }
   EXPECT_TRUE(saw_committee);
-}
-
-TEST(TopologyAxis, KeepTopologiesFiltersAndRejectsUnknownNames) {
-  ScenarioMatrix matrix =
-      named_matrix("smoke").topologies({"full-mesh", "committee-4"});
-  const std::size_t both = matrix.size();
-  matrix.keep_topologies({"committee-4"});
-  EXPECT_EQ(matrix.size(), both / 2);
-  EXPECT_THROW(matrix.keep_topologies({"committee-nope"}),
-               std::invalid_argument);
-  EXPECT_THROW(matrix.keep_topologies({"full-mesh"}), std::invalid_argument)
-      << "filtering to an absent axis value must fail loudly";
-}
-
-TEST(TopologyAxis, CheckpointRoundTripsTopologiesAndSplitsWorkIdentity) {
-  io::Checkpoint cp;
-  cp.matrix = "committee";
-  cp.topologies = "committee-4,committee-7";
-  cp.total = 10;
-  cp.end = 10;
-  const io::Checkpoint back = io::Checkpoint::parse(cp.to_json());
-  EXPECT_EQ(back.topologies, cp.topologies);
-  EXPECT_TRUE(cp.same_work(back));
-
-  io::Checkpoint other = cp;
-  other.topologies = "committee-4";
-  EXPECT_FALSE(cp.same_work(other));
-
-  // Pre-topology checkpoint files parse as unfiltered.
-  std::string legacy = cp.to_json();
-  const auto field = legacy.find("\"topologies\"");
-  const auto next_field = legacy.find("\"shard_index\"");
-  ASSERT_NE(field, std::string::npos);
-  ASSERT_LT(field, next_field);
-  legacy.erase(field, next_field - field);
-  EXPECT_EQ(io::Checkpoint::parse(legacy).topologies, "");
 }
 
 // ----------------------------------------------------- committee scenarios
@@ -327,7 +292,7 @@ TEST(CommitteeMatrix, OutcomeBytesAreIdenticalAcrossJobCounts) {
   // One topology slice of the committee matrix (n up to 200, both cert
   // modes); CI byte-compares the full matrix across --jobs via the CLI.
   const ScenarioMatrix matrix =
-      named_matrix("committee").keep_topologies({"committee-7"});
+      named_matrix("committee").keep(Axis::kTopology, {"committee-7"});
   ASSERT_GT(matrix.size(), 0u);
   const auto render = [&](int jobs) {
     std::string all;

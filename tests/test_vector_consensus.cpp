@@ -174,5 +174,7 @@ TEST(VectorConsensusCrash, AuthToleratesCrashMidProtocol) {
   for (const auto& [p, v] : vectors) EXPECT_EQ(v, vec);
   // P1's proposal may or may not appear (it signed it before crashing);
   // if it does, it must be the real one.
-  if (vec.participates(1)) EXPECT_EQ(*vec.at(1), 1);
+  if (vec.participates(1)) {
+    EXPECT_EQ(*vec.at(1), 1);
+  }
 }
