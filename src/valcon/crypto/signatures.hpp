@@ -167,10 +167,11 @@ struct AggregateSignature {
 [[nodiscard]] std::optional<AggregateSignature> aggregate(
     const std::vector<Signature>& partials);
 
-/// Per-thread tally of signature checks, the unit the sweep bench reports
-/// as verifies_per_decision. Every KeyRegistry verify path bumps exactly
-/// one counter; run_universal snapshots the thread's counters around a run
-/// (each sweep cell runs on one thread), so the delta is a deterministic
+/// Per-thread tally of signature checks, the unit behind
+/// RunResult::verifies_total and perfbench's crypto.verify_*_per_cell
+/// metrics. Every KeyRegistry verify path bumps exactly one counter;
+/// run_universal snapshots the thread's counters around a run (each
+/// sweep cell runs on one thread), so the delta is a deterministic
 /// function of (configuration, seed) at any job count. hash_counters()
 /// (sha256.hpp) is the matching tally of SHA-256 work.
 struct VerifyCounters {

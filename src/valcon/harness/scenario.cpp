@@ -1,7 +1,6 @@
 #include "valcon/harness/scenario.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
@@ -43,18 +42,6 @@ bool RunResult::agreement() const {
 std::optional<Value> RunResult::common_decision() const {
   if (decisions.empty() || !agreement()) return std::nullopt;
   return decisions.begin()->second;
-}
-
-double RunResult::messages_per_decision() const {
-  if (decisions.empty()) return 0.0;
-  return static_cast<double>(messages_total) /
-         static_cast<double>(decisions.size());
-}
-
-double RunResult::verifies_per_decision() const {
-  if (decisions.empty()) return 0.0;
-  return static_cast<double>(verifies_total) /
-         static_cast<double>(decisions.size());
 }
 
 namespace {
@@ -305,7 +292,20 @@ RunResult run_universal(const ScenarioConfig& cfg,
 
 double loglog_slope(const std::vector<double>& xs,
                     const std::vector<double>& ys) {
-  assert(xs.size() == ys.size() && xs.size() >= 2);
+  if (xs.size() != ys.size() || xs.size() < 2) {
+    throw std::invalid_argument(
+        "loglog_slope: needs two equal-length series of at least 2 points");
+  }
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!std::all_of(xs.begin(), xs.end(), positive) ||
+      !std::all_of(ys.begin(), ys.end(), positive)) {
+    throw std::invalid_argument(
+        "loglog_slope: every value must be positive and finite");
+  }
+  if (std::all_of(xs.begin(), xs.end(),
+                  [&](double x) { return x == xs.front(); })) {
+    throw std::invalid_argument("loglog_slope: the xs are all equal");
+  }
   const std::size_t m = xs.size();
   double sx = 0, sy = 0, sxx = 0, sxy = 0;
   for (std::size_t i = 0; i < m; ++i) {

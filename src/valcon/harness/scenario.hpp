@@ -236,11 +236,6 @@ struct RunResult {
   [[nodiscard]] bool all_correct_decided(const ScenarioConfig& cfg) const;
   [[nodiscard]] bool agreement() const;
   [[nodiscard]] std::optional<Value> common_decision() const;
-
-  // Per-decision normalizations for the sweep bench (BENCH_9.json):
-  // totals divided by recorded decisions; 0 when nothing decided.
-  [[nodiscard]] double messages_per_decision() const;
-  [[nodiscard]] double verifies_per_decision() const;
 };
 
 /// Returns the process-wide shared crypto::KeyRegistry for (n, threshold_k,
@@ -272,7 +267,9 @@ void validate(const ScenarioConfig& cfg);
                                       const core::LambdaFn& lambda);
 
 /// Least-squares slope of log(y) against log(x): the empirical scaling
-/// exponent of a complexity curve.
+/// exponent of a complexity curve. Throws std::invalid_argument unless xs
+/// and ys have the same length of at least 2, every value is positive and
+/// finite, and the xs are not all equal (the slope is undefined otherwise).
 [[nodiscard]] double loglog_slope(const std::vector<double>& xs,
                                   const std::vector<double>& ys);
 

@@ -71,7 +71,7 @@ struct StrategyEnv {
   const ScenarioConfig& cfg;
   const Fault& fault;   // the parameters for this faulty process
   ProcessId self;       // the faulty process being built
-  sim::Simulator& sim;  // for network()-level side effects (holds, blocks)
+  sim::Simulator& sim;  // for network()-level side effects (holds)
 
   /// Stack whose decisions are recorded in the RunResult (and pruned from
   /// the correctness-facing views afterwards, as the process is faulty) —

@@ -5,7 +5,7 @@
 // (embarrassingly parallel) Simulator runs out over a thread pool. Every
 // run is a deterministic function of (config, seed), so results are
 // identical whatever the job count — the pool only changes wall-clock
-// time. Used by the valcon_sweep CLI, bench_sweep and the tests.
+// time. Used by the valcon_sweep CLI, perfbench and the tests.
 #pragma once
 
 #include <array>
@@ -287,7 +287,7 @@ class SweepRunner {
   int jobs_;
 };
 
-/// Named matrices shared by the CLI and the bench:
+/// Named matrices shared by the CLI, perfbench and the tests:
 ///   "smoke"     — all stacks x the four legacy strategies, n=4 (quick
 ///                 check);
 ///   "full"      — all stacks x {Strong, Weak, Median, ConvexHull} x the

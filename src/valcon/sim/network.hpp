@@ -8,22 +8,21 @@
 //    bound); after GST it still chooses delays, but only within delta.
 //
 // The adversary surface: per-link holds (delay a link until a given time,
-// clipped to the model bound), permanent link blocks (allowed only for
-// faulty senders — the network is reliable between correct processes), and
-// a custom delay policy hook.
+// clipped to the model bound) and a custom delay policy hook. The network
+// never drops a message; a faulty process that omits sends does so in its
+// own shim (sim::omit_to on a FilterShim).
 //
-// The per-link state is hybrid: below kDenseThreshold the tables are dense
-// n x n arrays (branch-and-index on the hot path, exactly as before), above
-// it they are hash maps keyed by the same row-major link index so memory is
-// O(active links) instead of O(n^2) at n in the thousands. Either way the
-// arrays/maps are allocated lazily on the first hold()/block() — a clean
-// run (no adversary) pays zero bytes and skips the lookup entirely via the
-// any_holds_/any_blocks_ flags. An absent entry means "no hold" (kNoHold,
-// -infinity) / "not blocked", so the two backends are observably identical;
-// tests force Storage::kSparse at small n and compare verbatim against
-// dense. arrival_time assumes in-range ids (its only caller,
+// The hold table is hybrid: below kDenseThreshold it is a dense n x n array
+// (branch-and-index on the hot path, exactly as before), above it a hash
+// map keyed by the same row-major link index so memory is O(active links)
+// instead of O(n^2) at n in the thousands. Either way it is allocated
+// lazily on the first hold() — a clean run (no adversary) pays zero bytes
+// and skips the lookup entirely via the any_holds_ flag. An absent entry
+// means "no hold" (kNoHold, -infinity), so the two backends are observably
+// identical; tests force Storage::kSparse at small n and compare verbatim
+// against dense. arrival_time assumes in-range ids (its only caller,
 // Simulator::do_send, validates the destination and owns the source);
-// installing a hold or block validates the ids.
+// installing a hold validates the ids.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +32,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -55,20 +53,19 @@ struct NetworkConfig {
 
 class Network {
  public:
-  /// Link-table backend. kAuto picks dense arrays at n <= kDenseThreshold
+  /// Hold-table backend. kAuto picks a dense array at n <= kDenseThreshold
   /// and sparse hash storage above; the explicit values exist so property
   /// tests can run the sparse structure at small n in lockstep against the
-  /// dense one. Both are lazy: nothing is allocated until the first
-  /// hold()/block().
+  /// dense one. Both are lazy: nothing is allocated until the first hold().
   enum class Storage { kAuto, kDense, kSparse };
 
-  /// Largest n for which kAuto keeps the dense n x n tables. 64 x 64 links
-  /// is 40 KiB of hold floors — cheap; past that the quadratic tables
-  /// dominate a run's footprint while sweeps rarely touch more than a few
+  /// Largest n for which kAuto keeps the dense n x n table. 64 x 64 links
+  /// is 32 KiB of hold floors — cheap; past that the quadratic table
+  /// dominates a run's footprint while sweeps rarely touch more than a few
   /// hundred links.
   static constexpr int kDenseThreshold = 64;
 
-  /// `n` fixes the process-id space [0, n) the per-link tables cover.
+  /// `n` fixes the process-id space [0, n) the per-link table covers.
   Network(NetworkConfig config, int n, std::uint64_t seed,
           Storage storage = Storage::kAuto)
       : config_(config),
@@ -109,40 +106,19 @@ class Network {
     }
   }
 
-  /// Permanently drop messages from `from` to `to`. Only legal when `from`
-  /// is faulty (the caller asserts that; the network is reliable between
-  /// correct processes). Throws std::out_of_range for ids outside [0, n).
-  void block(ProcessId from, ProcessId to) {
-    const std::size_t idx = link(from, to);
-    if (dense_) {
-      if (blocked_.empty()) {
-        blocked_.assign(
-            static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 0);
-      }
-      blocked_[idx] = 1;
-    } else {
-      sparse_blocked_.insert(idx);
-    }
-    any_blocks_ = true;
-  }
-
   /// Optional custom policy: returns the desired arrival time for a message
   /// (before clamping to the model bounds), or nullopt to use the default.
   using DelayPolicy = std::function<std::optional<Time>(
       ProcessId from, ProcessId to, Time send_time)>;
   void set_delay_policy(DelayPolicy policy) { policy_ = std::move(policy); }
 
-  /// Returns the arrival time for a message, or nullopt if dropped.
-  /// Hot path: `from` and `to` must be in [0, n) — Simulator::do_send
-  /// guarantees this.
-  [[nodiscard]] std::optional<Time> arrival_time(ProcessId from, ProcessId to,
-                                                 Time send_time) {
+  /// Returns the arrival time for a message. Hot path: `from` and `to` must
+  /// be in [0, n) — Simulator::do_send guarantees this.
+  [[nodiscard]] Time arrival_time(ProcessId from, ProcessId to,
+                                  Time send_time) {
     const std::size_t idx = static_cast<std::size_t>(from) *
                                 static_cast<std::size_t>(n_) +
                             static_cast<std::size_t>(to);
-    // The blocked check must stay ahead of any Rng consumption: a dropped
-    // message draws no randomness, and the pinned sweeps depend on that.
-    if (any_blocks_ && is_blocked(idx)) return std::nullopt;
     const Time lower = send_time + config_.min_delay;
     const Time upper = model_bound(send_time);
 
@@ -175,29 +151,21 @@ class Network {
     return std::max(send_time, config_.gst) + config_.delta;
   }
 
-  /// True when this instance uses the dense n x n tables (kAuto resolved at
+  /// True when this instance uses the dense n x n table (kAuto resolved at
   /// construction). Exposed for the hybrid-equivalence tests.
   [[nodiscard]] bool dense_storage() const { return dense_; }
 
-  /// Bytes held by the link tables right now — 0 until the first
-  /// hold()/block(), O(active links) in sparse mode. Approximate for the
-  /// hash backend (buckets are not counted); used by tests and benches to
-  /// pin the lazy/sparse behavior, not for accounting.
+  /// Bytes held by the hold table right now — 0 until the first hold(),
+  /// O(active links) in sparse mode. Approximate for the hash backend
+  /// (buckets are not counted); used by tests and benches to pin the
+  /// lazy/sparse behavior, not for accounting.
   [[nodiscard]] std::size_t link_table_bytes() const {
-    std::size_t bytes = holds_.capacity() * sizeof(Time) +
-                        blocked_.capacity() * sizeof(std::uint8_t);
-    bytes += sparse_holds_.size() * (sizeof(std::size_t) + sizeof(Time));
-    bytes += sparse_blocked_.size() * sizeof(std::size_t);
-    return bytes;
+    return holds_.capacity() * sizeof(Time) +
+           sparse_holds_.size() * (sizeof(std::size_t) + sizeof(Time));
   }
 
  private:
   static constexpr Time kNoHold = -std::numeric_limits<Time>::infinity();
-
-  [[nodiscard]] bool is_blocked(std::size_t idx) const {
-    if (dense_) return blocked_[idx] != 0;
-    return sparse_blocked_.count(idx) != 0;
-  }
 
   [[nodiscard]] Time hold_floor(std::size_t idx) const {
     if (dense_) return holds_[idx];
@@ -205,8 +173,8 @@ class Network {
     return it == sparse_holds_.end() ? kNoHold : it->second;
   }
 
-  /// Row-major (from, to) index with validation — the mutation surface
-  /// (hold/block) goes through here; arrival_time trusts its caller.
+  /// Row-major (from, to) index with validation — hold() goes through
+  /// here; arrival_time trusts its caller.
   [[nodiscard]] std::size_t link(ProcessId from, ProcessId to) const {
     if (from < 0 || from >= n_ || to < 0 || to >= n_) {
       throw std::out_of_range("link (" + std::to_string(from) + " -> " +
@@ -221,14 +189,11 @@ class Network {
   int n_;
   Rng rng_;
   bool dense_;
-  bool any_holds_ = false;   // false => no hold lookup at all
-  bool any_blocks_ = false;  // false => no blocked lookup at all
-  std::vector<Time> holds_;            // dense backend, lazily sized n x n
-  std::vector<std::uint8_t> blocked_;  // dense backend, lazily sized n x n
+  bool any_holds_ = false;  // false => no hold lookup at all
+  std::vector<Time> holds_;  // dense backend, lazily sized n x n
   // Sparse backend: keyed by the same row-major link index. Lookup-only on
   // the hot path (never iterated), so unordered storage stays deterministic.
   std::unordered_map<std::size_t, Time> sparse_holds_;
-  std::unordered_set<std::size_t> sparse_blocked_;
   DelayPolicy policy_;
 };
 

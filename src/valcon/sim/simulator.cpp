@@ -193,13 +193,9 @@ void Simulator::do_send(ProcessId from, ProcessId to, PayloadPtr payload) {
   const bool post_gst = now_ >= config_.net.gst;
   metrics_.on_send(correct, post_gst, payload->size_words(),
                    payload->type_id());
-  const std::optional<Time> arrival = network_.arrival_time(from, to, now_);
-  if (!arrival.has_value()) {
-    assert(!correct && "the network is reliable between correct processes");
-    return;
-  }
+  const Time arrival = network_.arrival_time(from, to, now_);
   const std::uint64_t slot = acquire_slot(std::move(payload));
-  queue_.push(Event{*arrival, Event::pack(next_seq_++, EventKind::kDeliver),
+  queue_.push(Event{arrival, Event::pack(next_seq_++, EventKind::kDeliver),
                     slot, to, from});
 }
 

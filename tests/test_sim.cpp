@@ -113,19 +113,6 @@ TEST(Network, HoldDelaysDelivery) {
   EXPECT_GE(rec->events[0].at, 50.0);
 }
 
-TEST(Network, BlockedFaultySenderDropsMessages) {
-  Simulator sim(basic_config(3, 1));
-  auto recorder = std::make_unique<Recorder>();
-  Recorder* rec = recorder.get();
-  sim.mark_faulty(0);
-  sim.network().block(0, 1);
-  sim.add_process(0, std::make_unique<Pinger>(3));
-  sim.add_process(1, std::move(recorder));
-  sim.add_process(2, std::make_unique<SilentProcess>());
-  sim.run();
-  EXPECT_TRUE(rec->events.empty());
-}
-
 TEST(Metrics, CountsOnlyCorrectSendersAtOrAfterGst) {
   Simulator sim(basic_config(3, 1, /*gst=*/5.5));
   sim.mark_faulty(1);
