@@ -10,6 +10,30 @@ crypto::Hash proposal_digest(ProcessId proposer, Value v) {
   return h.finish();
 }
 
+std::optional<SignedVector> SignedProposals::add(sim::Context& ctx,
+                                                 ProcessId from, Value value,
+                                                 const crypto::Signature& sig) {
+  // Accept only properly signed proposals from their claimed sender, and
+  // stop counting at n-t (Algorithm 1, line 10).
+  if (complete_) return std::nullopt;
+  if (sig.signer != from || sig.digest != proposal_digest(from, value) ||
+      !ctx.keys().verify(sig)) {
+    return std::nullopt;
+  }
+  proposals_.emplace(from, std::make_pair(value, sig));
+  if (static_cast<int>(proposals_.size()) <
+      core::quorum_n_minus_t(ctx.n(), ctx.t())) {
+    return std::nullopt;
+  }
+  complete_ = true;
+  SignedVector out{core::InputConfig(ctx.n()), {}};
+  for (const auto& [pid, entry] : proposals_) {
+    out.vector.set(pid, entry.first);
+    out.proofs.push_back(entry.second);
+  }
+  return out;
+}
+
 bool VectorQuadProposal::verify(const crypto::KeyRegistry& keys, int n,
                                 int t) const {
   if (vector_.n() != n || vector_.count() != core::quorum_n_minus_t(n, t)) {
@@ -66,34 +90,12 @@ void AuthVectorConsensus::own_message(sim::Context& ctx, ProcessId from,
                                       const sim::PayloadPtr& m) {
   const auto* msg = dynamic_cast<const MProposal*>(m.get());
   if (msg == nullptr) return;
-  const int n = ctx.n();
-  const int t = ctx.t();
-  // Accept only properly signed proposals from their claimed sender, and
-  // stop counting at n-t (Algorithm 1, line 10).
-  if (proposed_to_quad_) return;
-  if (msg->sig.signer != from ||
-      msg->sig.digest != proposal_digest(from, msg->value) ||
-      !ctx.keys().verify(msg->sig)) {
-    return;
-  }
-  proposals_.emplace(from, std::make_pair(msg->value, msg->sig));
-  if (static_cast<int>(proposals_.size()) < core::quorum_n_minus_t(n, t)) {
-    return;
-  }
-
-  proposed_to_quad_ = true;
-  core::InputConfig vector(n);
-  std::vector<crypto::Signature> proofs;
-  int taken = 0;
-  for (const auto& [pid, entry] : proposals_) {
-    if (taken == core::quorum_n_minus_t(n, t)) break;
-    vector.set(pid, entry.first);
-    proofs.push_back(entry.second);
-    ++taken;
-  }
+  auto signed_vector = proposals_.add(ctx, from, msg->value, msg->sig);
+  if (!signed_vector) return;
   quad_->propose(child_context(0),
                  std::make_shared<const VectorQuadProposal>(
-                     vector, std::move(proofs)));
+                     std::move(signed_vector->vector),
+                     std::move(signed_vector->proofs)));
 }
 
 }  // namespace valcon::consensus

@@ -11,7 +11,6 @@
 // (Theorem 6). Message complexity: O(n^2) (Theorem 7).
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "valcon/consensus/quad.hpp"
@@ -62,8 +61,7 @@ class AuthVectorConsensus final : public VectorConsensus {
   struct MProposal;
 
   Quad* quad_ = nullptr;
-  std::map<ProcessId, std::pair<Value, crypto::Signature>> proposals_;
-  bool proposed_to_quad_ = false;
+  SignedProposals proposals_;
 };
 
 }  // namespace valcon::consensus

@@ -48,30 +48,11 @@ void FastVectorConsensus::own_start(sim::Context& ctx) {
 void FastVectorConsensus::own_message(sim::Context& ctx, ProcessId from,
                                       const sim::PayloadPtr& m) {
   const auto* msg = dynamic_cast<const MProposal*>(m.get());
-  if (msg == nullptr || disseminated_) return;
-  const int n = ctx.n();
-  const int t = ctx.t();
-  if (msg->sig.signer != from ||
-      msg->sig.digest != proposal_digest(from, msg->value) ||
-      !ctx.keys().verify(msg->sig)) {
-    return;
-  }
-  proposals_.emplace(from, std::make_pair(msg->value, msg->sig));
-  if (static_cast<int>(proposals_.size()) < core::quorum_n_minus_t(n, t)) {
-    return;
-  }
-
-  disseminated_ = true;
-  core::InputConfig vector(n);
-  std::vector<crypto::Signature> proofs;
-  int taken = 0;
-  for (const auto& [pid, entry] : proposals_) {
-    if (taken == core::quorum_n_minus_t(n, t)) break;
-    vector.set(pid, entry.first);
-    proofs.push_back(entry.second);
-    ++taken;
-  }
-  disseminator_->disseminate(child_context(0), vector, proofs);
+  if (msg == nullptr) return;
+  const auto signed_vector = proposals_.add(ctx, from, msg->value, msg->sig);
+  if (!signed_vector) return;
+  disseminator_->disseminate(child_context(0), signed_vector->vector,
+                             signed_vector->proofs);
 }
 
 void FastVectorConsensus::on_acquire(sim::Context& /*ctx*/,

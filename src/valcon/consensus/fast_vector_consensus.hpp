@@ -69,8 +69,7 @@ class FastVectorConsensus final : public VectorConsensus {
   Quad* quad_ = nullptr;
   Add* add_ = nullptr;
 
-  std::map<ProcessId, std::pair<Value, crypto::Signature>> proposals_;
-  bool disseminated_ = false;
+  SignedProposals proposals_;
   bool proposed_to_quad_ = false;
   bool fed_add_ = false;
 };

@@ -258,72 +258,55 @@ void Quad::maybe_propose(sim::Context& ctx) {
   ctx.broadcast(sim::make_payload<MPropose>(cur_view_, value, best));
 }
 
-void Quad::maybe_form_prepare_qc(sim::Context& ctx) {
-  const int n = ctx.n();
-  const int t = ctx.t();
-  if (cur_view_ < 0 || leader_of(cur_view_, n) != ctx.id()) return;
-  ViewState& vs = view_state(cur_view_);
-  if (vs.sent_precommit || !vs.proposed) return;
+std::optional<QuorumCert> Quad::form_qc(sim::Context& ctx, const char* phase,
+                                        const QuadProposal& value,
+                                        core::QuorumCollector& votes) const {
   // The collector keys by the digest the votes sign — the phase digest —
   // while only the leader's own pending proposal can ever certify, so the
   // check is direct: count the votes on that proposal's phase digest.
-  if (!vs.pending_propose) return;
-  const QuadProposalPtr value = vs.pending_propose->value;
-  const crypto::Hash value_digest = value->digest();
-  const crypto::Hash digest =
-      phase_digest("prepare", cur_view_, value_digest);
-  const int quorum = core::quorum_n_minus_t(n, t);
-  if (vs.prepare_votes.count(digest) < quorum) return;
+  const int n = ctx.n();
+  const crypto::Hash value_digest = value.digest();
+  const crypto::Hash digest = phase_digest(phase, cur_view_, value_digest);
+  const int quorum = core::quorum_n_minus_t(n, ctx.t());
+  if (votes.count(digest) < quorum) return std::nullopt;
   QuorumCert qc;
   qc.view = cur_view_;
   qc.value_digest = value_digest;
   if (options_.cert_mode == core::CertMode::kAggregate) {
-    auto cert =
-        core::certify_verified(vs.prepare_votes, ctx.keys(), digest, n, quorum);
-    if (!cert) return;
+    auto cert = core::certify_verified(votes, ctx.keys(), digest, n, quorum);
+    if (!cert) return std::nullopt;
     qc.aggregate = true;
     qc.voters = std::move(cert->voters);
     qc.agg = cert->agg;
   } else {
-    const auto tsig = ctx.keys().combine(vs.prepare_votes.partials(digest));
-    if (!tsig.has_value()) return;
+    const auto tsig = ctx.keys().combine(votes.partials(digest));
+    if (!tsig.has_value()) return std::nullopt;
     qc.tsig = *tsig;
   }
+  report_quorum(ctx, votes, digest);
+  return qc;
+}
+
+void Quad::maybe_form_prepare_qc(sim::Context& ctx) {
+  if (cur_view_ < 0 || leader_of(cur_view_, ctx.n()) != ctx.id()) return;
+  ViewState& vs = view_state(cur_view_);
+  if (vs.sent_precommit || !vs.proposed || !vs.pending_propose) return;
+  const QuadProposalPtr value = vs.pending_propose->value;
+  const auto qc = form_qc(ctx, "prepare", *value, vs.prepare_votes);
+  if (!qc) return;
   vs.sent_precommit = true;
-  report_quorum(ctx, vs.prepare_votes, digest);
-  ctx.broadcast(sim::make_payload<MPrecommit>(cur_view_, value, qc));
+  ctx.broadcast(sim::make_payload<MPrecommit>(cur_view_, value, *qc));
 }
 
 void Quad::maybe_form_commit_qc(sim::Context& ctx) {
-  const int n = ctx.n();
-  const int t = ctx.t();
-  if (cur_view_ < 0 || leader_of(cur_view_, n) != ctx.id()) return;
+  if (cur_view_ < 0 || leader_of(cur_view_, ctx.n()) != ctx.id()) return;
   ViewState& vs = view_state(cur_view_);
-  if (vs.sent_decide) return;
-  if (!vs.pending_propose) return;
+  if (vs.sent_decide || !vs.pending_propose) return;
   const QuadProposalPtr value = vs.pending_propose->value;
-  const crypto::Hash value_digest = value->digest();
-  const crypto::Hash digest = phase_digest("commit", cur_view_, value_digest);
-  const int quorum = core::quorum_n_minus_t(n, t);
-  if (vs.commit_votes.count(digest) < quorum) return;
-  QuorumCert qc;
-  qc.view = cur_view_;
-  qc.value_digest = value_digest;
-  if (options_.cert_mode == core::CertMode::kAggregate) {
-    auto cert =
-        core::certify_verified(vs.commit_votes, ctx.keys(), digest, n, quorum);
-    if (!cert) return;
-    qc.aggregate = true;
-    qc.voters = std::move(cert->voters);
-    qc.agg = cert->agg;
-  } else {
-    const auto tsig = ctx.keys().combine(vs.commit_votes.partials(digest));
-    if (!tsig.has_value()) return;
-    qc.tsig = *tsig;
-  }
+  const auto qc = form_qc(ctx, "commit", *value, vs.commit_votes);
+  if (!qc) return;
   vs.sent_decide = true;
-  report_quorum(ctx, vs.commit_votes, digest);
-  ctx.broadcast(sim::make_payload<MDecide>(value, qc));
+  ctx.broadcast(sim::make_payload<MDecide>(value, *qc));
 }
 
 // --------------------------------------------------------- replica side
@@ -370,6 +353,19 @@ void Quad::deliver_decide(sim::Context& ctx, const QuadProposalPtr& value,
 
 // ------------------------------------------------------------- messages
 
+bool Quad::admit_vote(sim::Context& ctx, ProcessId from, const char* phase,
+                      std::int64_t view, const crypto::Hash& value_digest,
+                      const crypto::Signature& partial) const {
+  if (partial.signer != from ||
+      partial.digest != phase_digest(phase, view, value_digest)) {
+    return false;
+  }
+  // Aggregate mode defers the MAC check to the one verify_aggregate at
+  // certificate formation (speculative aggregation).
+  return options_.cert_mode == core::CertMode::kAggregate ||
+         ctx.keys().verify(partial);
+}
+
 void Quad::on_message(sim::Context& ctx, ProcessId from,
                       const sim::PayloadPtr& m) {
   const int n = ctx.n();
@@ -402,15 +398,8 @@ void Quad::on_message(sim::Context& ctx, ProcessId from,
   }
 
   if (const auto* vote = dynamic_cast<const MPrepareVote*>(m.get())) {
-    const crypto::Hash expected =
-        phase_digest("prepare", vote->view, vote->digest);
-    if (vote->partial.signer != from || vote->partial.digest != expected) {
-      return;
-    }
-    // Aggregate mode defers the MAC check to the one verify_aggregate at
-    // certificate formation (speculative aggregation).
-    if (options_.cert_mode != core::CertMode::kAggregate &&
-        !ctx.keys().verify(vote->partial)) {
+    if (!admit_vote(ctx, from, "prepare", vote->view, vote->digest,
+                    vote->partial)) {
       return;
     }
     view_state(vote->view).prepare_votes.add(vote->partial);
@@ -446,13 +435,8 @@ void Quad::on_message(sim::Context& ctx, ProcessId from,
   }
 
   if (const auto* vote = dynamic_cast<const MCommitVote*>(m.get())) {
-    const crypto::Hash expected =
-        phase_digest("commit", vote->view, vote->digest);
-    if (vote->partial.signer != from || vote->partial.digest != expected) {
-      return;
-    }
-    if (options_.cert_mode != core::CertMode::kAggregate &&
-        !ctx.keys().verify(vote->partial)) {
+    if (!admit_vote(ctx, from, "commit", vote->view, vote->digest,
+                    vote->partial)) {
       return;
     }
     view_state(vote->view).commit_votes.add(vote->partial);

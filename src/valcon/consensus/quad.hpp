@@ -161,8 +161,20 @@ class Quad final : public sim::Component {
   void enter_view(sim::Context& ctx, std::int64_t view);
   void maybe_propose(sim::Context& ctx);
   void process_propose(sim::Context& ctx, const MPropose& msg);
+  /// The QC on `value` for `phase` in the current view once `votes` hold
+  /// n - t votes on it (a combined threshold signature or an aggregate,
+  /// per the cert mode), reported as a near miss; nullopt before that.
+  [[nodiscard]] std::optional<QuorumCert> form_qc(
+      sim::Context& ctx, const char* phase, const QuadProposal& value,
+      core::QuorumCollector& votes) const;
   void maybe_form_prepare_qc(sim::Context& ctx);
   void maybe_form_commit_qc(sim::Context& ctx);
+  /// True when `partial` is `from`'s vote for (phase, view, value_digest)
+  /// and, in per-vote mode, verifies.
+  [[nodiscard]] bool admit_vote(sim::Context& ctx, ProcessId from,
+                                const char* phase, std::int64_t view,
+                                const crypto::Hash& value_digest,
+                                const crypto::Signature& partial) const;
   void handle_epoch_cert(sim::Context& ctx, std::int64_t epoch,
                          const crypto::ThresholdSignature& tsig);
   void deliver_decide(sim::Context& ctx, const QuadProposalPtr& value,

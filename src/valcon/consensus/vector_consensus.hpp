@@ -18,9 +18,13 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "valcon/core/input_config.hpp"
+#include "valcon/crypto/signatures.hpp"
 #include "valcon/sim/component.hpp"
 
 namespace valcon::consensus {
@@ -57,5 +61,27 @@ class VectorConsensus : public sim::Mux {
 /// Digest a (process, proposal) pair as signed in proposal messages
 /// (Algorithms 1 and 6) and verified by Quad's external predicate.
 [[nodiscard]] crypto::Hash proposal_digest(ProcessId proposer, Value v);
+
+/// The signed n-t vector Algorithms 1 and 6 build from the first n-t
+/// properly signed proposals (Algorithm 1, lines 8-12).
+struct SignedVector {
+  core::InputConfig vector;
+  std::vector<crypto::Signature> proofs;  // one signed proposal per pair
+};
+
+/// Collects signed proposals until it can build the SignedVector.
+class SignedProposals {
+ public:
+  /// Records `value` from `from` when `sig` is `from`'s valid signature
+  /// over proposal_digest(from, value). Returns the vector exactly once,
+  /// on the (n-t)-th recorded proposal; after that it checks nothing.
+  [[nodiscard]] std::optional<SignedVector> add(sim::Context& ctx,
+                                                ProcessId from, Value value,
+                                                const crypto::Signature& sig);
+
+ private:
+  std::map<ProcessId, std::pair<Value, crypto::Signature>> proposals_;
+  bool complete_ = false;
+};
 
 }  // namespace valcon::consensus

@@ -95,71 +95,19 @@ class AdversarialPattern final : public ProposalPattern {
   }
 };
 
-template <typename T>
-void add_builtin(PatternRegistry& registry, const std::string& name) {
-  registry.add(name, [] { return std::make_unique<T>(); });
-}
-
 }  // namespace
 
+template <>
 PatternRegistry& PatternRegistry::global() {
   static PatternRegistry* registry = [] {
     auto* r = new PatternRegistry();
-    add_builtin<RotatingPattern>(*r, "rotating");
-    add_builtin<UnanimousPattern>(*r, "unanimous");
-    add_builtin<SplitPattern>(*r, "split");
-    add_builtin<AdversarialPattern>(*r, "adversarial");
+    r->add<RotatingPattern>("rotating");
+    r->add<UnanimousPattern>("unanimous");
+    r->add<SplitPattern>("split");
+    r->add<AdversarialPattern>("adversarial");
     return r;
   }();
   return *registry;
-}
-
-void PatternRegistry::add(const std::string& name, Factory factory) {
-  if (name.empty()) {
-    throw std::invalid_argument("PatternRegistry: empty pattern name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("PatternRegistry: null factory for '" + name +
-                                "'");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!factories_.emplace(name, std::move(factory)).second) {
-    throw std::invalid_argument("PatternRegistry: '" + name +
-                                "' is already registered");
-  }
-}
-
-bool PatternRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.count(name) != 0;
-}
-
-std::unique_ptr<ProposalPattern> PatternRegistry::make(
-    const std::string& name) const {
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = factories_.find(name);
-    if (it != factories_.end()) factory = it->second;
-  }
-  if (!factory) {
-    std::string known;
-    for (const std::string& n : names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("unknown proposal pattern '" + name +
-                                "' (registered: " + known + ")");
-  }
-  return factory();
-}
-
-std::vector<std::string> PatternRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;  // std::map iteration is already sorted
 }
 
 }  // namespace valcon::harness

@@ -18,14 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "valcon/common.hpp"
+#include "valcon/harness/registry.hpp"
 #include "valcon/harness/validity_kind.hpp"
 
 namespace valcon::harness {
@@ -46,6 +42,9 @@ struct PatternEnv {
 /// fresh instance is made per lookup); see the determinism contract above.
 class ProposalPattern {
  public:
+  /// Names a pattern in PatternRegistry's messages.
+  static constexpr const char* kNoun = "proposal pattern";
+
   virtual ~ProposalPattern() = default;
 
   /// One proposal per process (index = process id), each in
@@ -55,8 +54,8 @@ class ProposalPattern {
       const PatternEnv& env) const = 0;
 };
 
-/// String-keyed factory registry, mirroring StrategyRegistry. The global()
-/// instance starts with the built-in patterns registered:
+/// The pattern registry (registry.hpp). Its global() instance starts with
+/// the built-in patterns registered:
 ///
 ///   "rotating"    — (p + seed) % domain: the historical default, each
 ///                   process one step ahead of its predecessor
@@ -68,35 +67,9 @@ class ProposalPattern {
 ///                   CorrectProposal, unanimity broken by a single
 ///                   dissenter (process n-1) for Strong/Weak, alternating
 ///                   extremes {0, domain-1} for Median/ConvexHull
-///
-/// Libraries and tests add their own with add(). Lookups are thread-safe
-/// (sweep workers resolve patterns concurrently).
-class PatternRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<ProposalPattern>()>;
+using PatternRegistry = Registry<ProposalPattern>;
 
-  PatternRegistry() = default;  // empty registry (for tests)
-
-  /// The process-wide registry, with the built-ins pre-registered.
-  [[nodiscard]] static PatternRegistry& global();
-
-  /// Registers a factory. Throws std::invalid_argument for an empty name,
-  /// a null factory, or a name that is already taken.
-  void add(const std::string& name, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// Instantiates the pattern registered under `name`. Throws
-  /// std::invalid_argument for unknown names, listing what is registered.
-  [[nodiscard]] std::unique_ptr<ProposalPattern> make(
-      const std::string& name) const;
-
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
-};
+template <>
+PatternRegistry& PatternRegistry::global();
 
 }  // namespace valcon::harness

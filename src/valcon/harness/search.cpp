@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -592,50 +591,15 @@ void cell_object(std::ostream& os, const Counterexample& cx) {
      << "}}";
 }
 
-// Strict field extraction over the (machine-written) cell format. The
-// emitted strings never contain escapes, so raw find() lookups mirror
-// parse_outcome_line's approach.
-
 [[noreturn]] void bad_cell(const std::string& what) {
   throw std::runtime_error("malformed counterexample cell: " + what);
 }
 
-std::string string_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const auto at = json.find(needle);
-  if (at == std::string::npos) bad_cell("missing string field '" + key + "'");
-  const auto start = at + needle.size();
-  const auto end = json.find('"', start);
-  if (end == std::string::npos) bad_cell("unterminated field '" + key + "'");
-  return json.substr(start, end - start);
-}
-
-double number_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto at = json.find(needle);
-  if (at == std::string::npos) bad_cell("missing number field '" + key + "'");
-  const char* begin = json.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) bad_cell("non-numeric field '" + key + "'");
-  return v;
-}
-
-int int_field(const std::string& json, const std::string& key) {
-  const double v = number_field(json, key);
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v) bad_cell("non-integer field '" + key + "'");
-  return i;
-}
-
-bool bool_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto at = json.find(needle);
-  if (at == std::string::npos) bad_cell("missing bool field '" + key + "'");
-  const auto start = at + needle.size();
-  if (json.compare(start, 4, "true") == 0) return true;
-  if (json.compare(start, 5, "false") == 0) return false;
-  bad_cell("non-boolean field '" + key + "'");
+/// A field parse_cell requires: present and well formed.
+template <typename T>
+T required(std::optional<T> value, const std::string& key) {
+  if (!value.has_value()) bad_cell("missing or malformed field '" + key + "'");
+  return *std::move(value);
 }
 
 }  // namespace
@@ -648,53 +612,64 @@ std::string cell_json(const Counterexample& cx) {
 }
 
 CorpusCell parse_cell(const std::string& json) {
-  if (string_field(json, "schema") != "valcon-counterexample-v1") {
-    bad_cell("unknown schema");
-  }
+  // Strict: every field goes through sweep_io's readers (escaped strings
+  // unescaped, integers read exactly) and a missing one is an error.
+  const auto text = [&json](const std::string& key) {
+    return required(io::string_field(json, key), key);
+  };
+  const auto integer = [&json](const std::string& key) {
+    return required(io::integer_field<int>(json, key), key);
+  };
+  const auto count = [&integer](const std::string& key) {
+    const int v = integer(key);
+    if (v < 0) bad_cell("negative field '" + key + "'");
+    return v;
+  };
+  const auto number = [&json](const std::string& key) {
+    return required(io::number_field(json, key), key);
+  };
+  const auto flag = [&json](const std::string& key) {
+    return required(io::bool_field(json, key), key);
+  };
+  if (text("schema") != "valcon-counterexample-v1") bad_cell("unknown schema");
   CorpusCell cell;
-  const auto verdict = verdict_from_token(string_field(json, "verdict"));
+  const auto verdict = verdict_from_token(text("verdict"));
   if (!verdict.has_value()) bad_cell("unknown verdict token");
   cell.verdict = *verdict;
   Candidate& c = cell.candidate;
-  const auto vc = vc_from_token(string_field(json, "vc"));
+  const auto vc = vc_from_token(text("vc"));
   if (!vc.has_value()) bad_cell("unknown vc token");
   c.vc = *vc;
-  const auto validity = validity_from_token(string_field(json, "validity"));
+  const auto validity = validity_from_token(text("validity"));
   if (!validity.has_value()) bad_cell("unknown validity token");
   c.validity = *validity;
-  c.strategy = string_field(json, "strategy");
-  c.fault_count = int_field(json, "fault_count");
-  c.pattern = string_field(json, "pattern");
-  c.net_profile = string_field(json, "net_profile");
-  c.n = int_field(json, "n");
-  c.t = int_field(json, "t");
-  c.gst = number_field(json, "gst");
-  c.delta = number_field(json, "delta");
-  c.domain = int_field(json, "domain");
-  c.victims = int_field(json, "victims");
-  c.observe = int_field(json, "observe");
+  c.strategy = text("strategy");
+  c.fault_count = integer("fault_count");
+  c.pattern = text("pattern");
+  c.net_profile = text("net_profile");
+  c.n = count("n");
+  c.t = count("t");
+  c.gst = number("gst");
+  c.delta = number("delta");
+  c.domain = count("domain");
+  c.victims = integer("victims");
+  c.observe = integer("observe");
   // Absent on legacy cells (strictness exception: absence IS the per-vote
   // / full-mesh default under the wire gate, not a malformed cell).
   if (json.find("\"cert_mode\": \"") != std::string::npos) {
-    const auto cert = core::cert_mode_from_token(string_field(json,
-                                                              "cert_mode"));
+    const auto cert = core::cert_mode_from_token(text("cert_mode"));
     if (!cert.has_value()) bad_cell("unknown cert_mode token");
     c.cert = *cert;
   }
   if (json.find("\"topology\": \"") != std::string::npos) {
-    c.topology = string_field(json, "topology");
+    c.topology = text("topology");
     // Throws for malformed names; a corpus cell must always replay.
     static_cast<void>(named_topology(c.topology));
   }
-  const double seed = number_field(json, "seed");
-  if (seed < 0 || static_cast<double>(static_cast<std::uint64_t>(seed)) !=
-                      seed) {
-    bad_cell("non-integer seed");
-  }
-  c.seed = static_cast<std::uint64_t>(seed);
-  cell.expect_decided = bool_field(json, "decided");
-  cell.expect_agreement = bool_field(json, "agreement");
-  cell.expect_validity_ok = bool_field(json, "validity_ok");
+  c.seed = required(io::integer_field<std::uint64_t>(json, "seed"), "seed");
+  cell.expect_decided = flag("decided");
+  cell.expect_agreement = flag("agreement");
+  cell.expect_validity_ok = flag("validity_ok");
   return cell;
 }
 

@@ -19,12 +19,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
 #include <vector>
 
+#include "valcon/harness/registry.hpp"
 #include "valcon/harness/scenario.hpp"
 #include "valcon/sim/simulator.hpp"
 
@@ -96,6 +96,9 @@ struct StrategyEnv {
 /// returned Process.
 class Strategy {
  public:
+  /// Names a strategy in StrategyRegistry's messages.
+  static constexpr const char* kNoun = "adversary strategy";
+
   virtual ~Strategy() = default;
 
   /// Builds the process installed for env.self (never null). May also
@@ -110,37 +113,13 @@ class Strategy {
                         const ScenarioConfig& /*cfg*/) const {}
 };
 
-/// String-keyed factory registry. The global() instance starts with the
-/// built-in strategies ("silent", "crash", "equivocate", "delay", "mutate",
-/// "equivocate-scheduled", "adaptive", "collude-equivocate",
-/// "collude-withhold", "forge-qc") registered; libraries and tests add
-/// their own with add(). Lookups are thread-safe (sweep workers resolve strategies
-/// concurrently).
-class StrategyRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Strategy>()>;
+/// The strategy registry (registry.hpp). Its global() instance starts with
+/// the built-in strategies ("silent", "crash", "equivocate", "delay",
+/// "mutate", "equivocate-scheduled", "adaptive", "collude-equivocate",
+/// "collude-withhold", "forge-qc") registered.
+using StrategyRegistry = Registry<Strategy>;
 
-  StrategyRegistry() = default;  // empty registry (for tests)
-
-  /// The process-wide registry, with the built-ins pre-registered.
-  [[nodiscard]] static StrategyRegistry& global();
-
-  /// Registers a factory. Throws std::invalid_argument for an empty name, a
-  /// null factory, or a name that is already taken.
-  void add(const std::string& name, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// Instantiates the strategy registered under `name`. Throws
-  /// std::invalid_argument for unknown names, listing what is registered.
-  [[nodiscard]] std::unique_ptr<Strategy> make(const std::string& name) const;
-
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
-};
+template <>
+StrategyRegistry& StrategyRegistry::global();
 
 }  // namespace valcon::harness

@@ -404,24 +404,12 @@ SweepRunner::SweepRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
 
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<SweepPoint>& points) const {
-  std::vector<SweepOutcome> outcomes(points.size());
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&points, &outcomes, &next] {
-    for (std::size_t i = next.fetch_add(1); i < points.size();
-         i = next.fetch_add(1)) {
-      outcomes[i] = run_point(points[i]);
-    }
-  };
-  if (jobs_ == 1 || points.size() <= 1) {
-    worker();
-    return outcomes;
-  }
-  std::vector<std::thread> pool;
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), points.size());
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& thread : pool) thread.join();
+  std::vector<SweepOutcome> outcomes;
+  outcomes.reserve(points.size());
+  stream(
+      0, points.size(),
+      [&points](std::size_t i) { return run_point(points[i]); },
+      [&outcomes](SweepOutcome&& o) { outcomes.push_back(std::move(o)); });
   return outcomes;
 }
 
@@ -434,12 +422,20 @@ void SweepRunner::run_range(
         ") is not a slice of the " + std::to_string(matrix.size()) +
         "-cell matrix");
   }
+  stream(
+      begin, end,
+      [&matrix](std::size_t i) { return run_point(matrix.point_at(i)); },
+      on_outcome);
+}
+
+void SweepRunner::stream(
+    std::size_t begin, std::size_t end,
+    const std::function<SweepOutcome(std::size_t)>& evaluate,
+    const std::function<void(SweepOutcome&&)>& sink) const {
   if (begin == end) return;
   const std::size_t count = end - begin;
   if (jobs_ == 1 || count == 1) {
-    for (std::size_t i = begin; i < end; ++i) {
-      on_outcome(run_point(matrix.point_at(i)));
-    }
+    for (std::size_t i = begin; i < end; ++i) sink(evaluate(i));
     return;
   }
 
@@ -464,11 +460,12 @@ void SweepRunner::run_range(
       if (i >= end) return;
       SweepOutcome outcome;
       try {
-        // point_at can throw (a custom pattern violating the domain
-        // contract, say); an exception escaping a pool thread would
-        // std::terminate the process, so it is captured and rethrown on
-        // the caller's thread — the same loud failure jobs=1 produces.
-        outcome = run_point(matrix.point_at(i));
+        // evaluate can throw (a custom pattern violating the domain
+        // contract in point_at, say); an exception escaping a pool thread
+        // would std::terminate the process, so it is captured and
+        // rethrown on the caller's thread — the same loud failure jobs=1
+        // produces.
+        outcome = evaluate(i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(mu);
         if (!failure) failure = std::current_exception();
@@ -485,7 +482,7 @@ void SweepRunner::run_range(
           SweepOutcome ready = std::move(pending.begin()->second);
           pending.erase(pending.begin());
           ++next_emit;
-          on_outcome(std::move(ready));
+          sink(std::move(ready));
         }
       } catch (...) {
         failure = std::current_exception();
@@ -502,39 +499,6 @@ void SweepRunner::run_range(
   for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& thread : pool) thread.join();
   if (failure) std::rethrow_exception(failure);
-}
-
-SweepSummary SweepRunner::summarize(const std::vector<SweepOutcome>& outcomes,
-                                    double wall_seconds) {
-  SweepSummary summary;
-  summary.total = outcomes.size();
-  summary.wall_seconds = wall_seconds;
-  double latency = 0, msgs = 0, words = 0;
-  for (const SweepOutcome& o : outcomes) {
-    if (!o.error.empty()) {
-      ++summary.errors;
-      continue;
-    }
-    if (o.decided) {
-      ++summary.decided;
-      latency += o.result.last_decision_time;
-      msgs += static_cast<double>(o.result.message_complexity);
-      words += static_cast<double>(o.result.word_complexity);
-    }
-    if (!o.agreement) ++summary.agreement_violations;
-    if (!o.validity_ok) ++summary.validity_violations;
-  }
-  if (summary.decided > 0) {
-    const auto d = static_cast<double>(summary.decided);
-    summary.mean_latency = latency / d;
-    summary.mean_message_complexity = msgs / d;
-    summary.mean_word_complexity = words / d;
-  }
-  if (wall_seconds > 0) {
-    summary.scenarios_per_second =
-        static_cast<double>(summary.total) / wall_seconds;
-  }
-  return summary;
 }
 
 ScenarioMatrix named_matrix(const std::string& name) {

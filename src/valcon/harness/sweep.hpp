@@ -236,20 +236,6 @@ struct SweepOutcome {
   double wall_micros = 0.0;
 };
 
-/// Aggregate of a whole sweep.
-struct SweepSummary {
-  std::size_t total = 0;
-  std::size_t decided = 0;
-  std::size_t agreement_violations = 0;
-  std::size_t validity_violations = 0;
-  std::size_t errors = 0;
-  double mean_latency = 0.0;             // mean last decision time (decided)
-  double mean_message_complexity = 0.0;  // mean over decided runs
-  double mean_word_complexity = 0.0;
-  double wall_seconds = 0.0;
-  double scenarios_per_second = 0.0;
-};
-
 /// Runs a single cell (what the pool workers execute).
 [[nodiscard]] SweepOutcome run_point(const SweepPoint& point);
 
@@ -261,6 +247,8 @@ class SweepRunner {
 
   [[nodiscard]] int jobs() const { return jobs_; }
 
+  /// The outcomes of `points`, in order. An exception thrown while running
+  /// a cell is rethrown here, at any job count.
   [[nodiscard]] std::vector<SweepOutcome> run(
       const std::vector<SweepPoint>& points) const;
 
@@ -280,10 +268,14 @@ class SweepRunner {
                  std::size_t end,
                  const std::function<void(SweepOutcome&&)>& on_outcome) const;
 
-  [[nodiscard]] static SweepSummary summarize(
-      const std::vector<SweepOutcome>& outcomes, double wall_seconds);
-
  private:
+  /// The one worker pool behind run() and run_range(): hands
+  /// evaluate(begin) .. evaluate(end - 1) to `sink` in index order, with
+  /// the bounded reorder window and exception forwarding described above.
+  void stream(std::size_t begin, std::size_t end,
+              const std::function<SweepOutcome(std::size_t)>& evaluate,
+              const std::function<void(SweepOutcome&&)>& sink) const;
+
   int jobs_;
 };
 

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 namespace valcon::harness::io {
 
@@ -53,54 +54,15 @@ std::string json_unescape(const std::string& s) {
   return out;
 }
 
-/// The number following `"key": ` in `text`, if present and parseable.
-std::optional<double> number_field(const std::string& text,
-                                   const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  const char* start = text.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return std::nullopt;
-  return v;
-}
-
-std::optional<bool> bool_field(const std::string& text,
-                               const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  if (text.compare(pos + needle.size(), 4, "true") == 0) return true;
-  if (text.compare(pos + needle.size(), 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
-/// The (unescaped) string following `"key": "` in `text`, if present.
-std::optional<std::string> string_field(const std::string& text,
-                                        const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  std::size_t j = pos + needle.size();
-  std::string raw;
-  while (j < text.size() && text[j] != '"') {
-    raw += text[j];
-    if (text[j] == '\\' && j + 1 < text.size()) raw += text[j + 1], ++j;
-    ++j;
-  }
-  if (j >= text.size()) return std::nullopt;  // unterminated
-  return json_unescape(raw);
-}
-
-std::size_t size_field_or_throw(const std::string& text,
-                                const std::string& key,
-                                const std::string& what) {
-  const auto v = number_field(text, key);
-  if (!v.has_value() || *v < 0) {
+/// An integer field that must be present and non-negative.
+template <typename T>
+T count_field_or_throw(const std::string& text, const std::string& key,
+                       const std::string& what) {
+  const auto v = integer_field<T>(text, key);
+  if (!v.has_value() || std::cmp_less(*v, 0)) {
     throw std::runtime_error(what + ": missing or bad \"" + key + "\"");
   }
-  return static_cast<std::size_t>(*v);
+  return *v;
 }
 
 }  // namespace
@@ -164,6 +126,57 @@ std::vector<std::string> split_csv(const std::string& csv) {
     out.push_back(item.substr(first, last - first + 1));
   }
   return out;
+}
+
+// ---------------------------------------------------------- field readers
+
+std::optional<std::string> string_field(const std::string& text,
+                                        const std::string& key) {
+  const std::string needle = "\"" + key + "\": \"";
+  const auto pos = text.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  std::size_t j = pos + needle.size();
+  std::string raw;
+  while (j < text.size() && text[j] != '"') {
+    raw += text[j];
+    if (text[j] == '\\' && j + 1 < text.size()) raw += text[j + 1], ++j;
+    ++j;
+  }
+  if (j >= text.size()) return std::nullopt;  // unterminated
+  return json_unescape(raw);
+}
+
+std::optional<double> number_field(const std::string& text,
+                                   const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto pos = text.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  const char* start = text.c_str() + pos + needle.size();
+  char* end = nullptr;
+  const double v = std::strtod(start, &end);
+  if (end == start) return std::nullopt;
+  return v;
+}
+
+std::optional<bool> bool_field(const std::string& text,
+                               const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto pos = text.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  if (text.compare(pos + needle.size(), 4, "true") == 0) return true;
+  if (text.compare(pos + needle.size(), 5, "false") == 0) return false;
+  return std::nullopt;
+}
+
+std::optional<std::string_view> detail::field_token(const std::string& text,
+                                                    const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto pos = text.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  const std::size_t start = pos + needle.size();
+  const std::size_t end =
+      std::min(text.find_first_of(",}", start), text.size());
+  return std::string_view(text).substr(start, end - start);
 }
 
 // ----------------------------------------------------------------- shards
@@ -378,15 +391,15 @@ ShardDocument parse_document(std::istream& is) {
   if (at < raw.size() && raw[at].rfind("  \"shard\": {", 0) == 0) {
     const std::string& s = next();
     ShardSpec spec;
-    spec.index =
-        static_cast<int>(size_field_or_throw(s, "index", "shard header"));
-    spec.count =
-        static_cast<int>(size_field_or_throw(s, "count", "shard header"));
-    doc.total = size_field_or_throw(s, "total", "shard header");
+    spec.index = count_field_or_throw<int>(s, "index", "shard header");
+    spec.count = count_field_or_throw<int>(s, "count", "shard header");
+    doc.total = count_field_or_throw<std::size_t>(s, "total", "shard header");
     if (spec.index >= spec.count || spec.count < 1) fail("bad shard header");
     const ShardRange range = shard_range(doc.total, spec);
-    if (range.begin != size_field_or_throw(s, "begin", "shard header") ||
-        range.end != size_field_or_throw(s, "end", "shard header")) {
+    if (range.begin !=
+            count_field_or_throw<std::size_t>(s, "begin", "shard header") ||
+        range.end !=
+            count_field_or_throw<std::size_t>(s, "end", "shard header")) {
       fail("shard header range disagrees with index/count/total");
     }
     doc.shard = spec;
@@ -517,15 +530,17 @@ Checkpoint Checkpoint::parse(const std::string& text) {
     }
     cp.filters[info.axis] = filter.value_or("");
   }
-  cp.shard.index =
-      static_cast<int>(size_field_or_throw(text, "shard_index", "checkpoint"));
-  cp.shard.count =
-      static_cast<int>(size_field_or_throw(text, "shard_count", "checkpoint"));
-  cp.total = size_field_or_throw(text, "total", "checkpoint");
-  cp.begin = size_field_or_throw(text, "begin", "checkpoint");
-  cp.end = size_field_or_throw(text, "end", "checkpoint");
-  cp.next = size_field_or_throw(text, "next", "checkpoint");
-  cp.sidecar_bytes = size_field_or_throw(text, "sidecar_bytes", "checkpoint");
+  const auto size = [&text](const char* key) {
+    return count_field_or_throw<std::size_t>(text, key, "checkpoint");
+  };
+  cp.shard.index = count_field_or_throw<int>(text, "shard_index", "checkpoint");
+  cp.shard.count = count_field_or_throw<int>(text, "shard_count", "checkpoint");
+  cp.total = size("total");
+  cp.begin = size("begin");
+  cp.end = size("end");
+  cp.next = size("next");
+  cp.sidecar_bytes = count_field_or_throw<std::uint64_t>(text, "sidecar_bytes",
+                                                         "checkpoint");
   if (cp.begin > cp.end || cp.next < cp.begin || cp.next > cp.end ||
       cp.end > cp.total) {
     throw std::runtime_error("malformed checkpoint: inconsistent indices");

@@ -13,10 +13,13 @@
 // doubles shard-by-shard would drift in the last ulp.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "valcon/harness/sweep.hpp"
@@ -44,6 +47,49 @@ namespace valcon::harness::io {
 /// Splits "a, b,c" into {"a","b","c"} (whitespace-trimmed, empties
 /// dropped). Shared so the checkpoint's strategy identity is canonical.
 [[nodiscard]] std::vector<std::string> split_csv(const std::string& csv);
+
+// ---------------------------------------------------------- field readers
+//
+// Key lookups over the machine-written one-object-per-line formats: the
+// outcome line, the shard header, the checkpoint and the counterexample
+// cell. Every quote inside an escaped string is \", so escaped text never
+// holds a bare `"key": ` and the first match is the field. Each reader
+// returns nullopt when the key is absent or its value is malformed.
+
+/// The string following `"key": "`, unescaped (the inverse of
+/// json_escape()).
+[[nodiscard]] std::optional<std::string> string_field(const std::string& text,
+                                                      const std::string& key);
+
+/// The number following `"key": ` (strtod: fractions, exponents, inf).
+[[nodiscard]] std::optional<double> number_field(const std::string& text,
+                                                 const std::string& key);
+
+[[nodiscard]] std::optional<bool> bool_field(const std::string& text,
+                                             const std::string& key);
+
+namespace detail {
+/// The text following `"key": ` up to the field's delimiter (',', '}' or
+/// the end of `text`).
+[[nodiscard]] std::optional<std::string_view> field_token(
+    const std::string& text, const std::string& key);
+}  // namespace detail
+
+/// The integer following `"key": `, read exactly: an optional '-' (signed
+/// T only) and decimal digits, ending at the field's delimiter, whose
+/// value fits T. No double is involved, so 2^64 - 1 reads back exactly
+/// and 1e300, inf, nan, 3.7 and out-of-range values are malformed.
+template <typename T>
+[[nodiscard]] std::optional<T> integer_field(const std::string& text,
+                                             const std::string& key) {
+  const auto token = detail::field_token(text, key);
+  if (!token.has_value()) return std::nullopt;
+  const char* last = token->data() + token->size();
+  T value{};
+  const auto [end, error] = std::from_chars(token->data(), last, value);
+  if (error != std::errc{} || end != last) return std::nullopt;
+  return value;
+}
 
 // ----------------------------------------------------------------- shards
 

@@ -12,28 +12,21 @@
 // never drops a message; a faulty process that omits sends does so in its
 // own shim (sim::omit_to on a FilterShim).
 //
-// The hold table is hybrid: below kDenseThreshold it is a dense n x n array
-// (branch-and-index on the hot path, exactly as before), above it a hash
-// map keyed by the same row-major link index so memory is O(active links)
-// instead of O(n^2) at n in the thousands. Either way it is allocated
-// lazily on the first hold() — a clean run (no adversary) pays zero bytes
-// and skips the lookup entirely via the any_holds_ flag. An absent entry
-// means "no hold" (kNoHold, -infinity), so the two backends are observably
-// identical; tests force Storage::kSparse at small n and compare verbatim
-// against dense. arrival_time assumes in-range ids (its only caller,
+// The hold table is a hash map keyed by the row-major link index, filled
+// lazily by hold(): memory is O(active links), a clean run (no adversary)
+// pays zero bytes, and arrival_time skips the lookup while the map is
+// empty. arrival_time assumes in-range ids (its only caller,
 // Simulator::do_send, validates the destination and owns the source);
 // installing a hold validates the ids.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "valcon/common.hpp"
 #include "valcon/sim/rng.hpp"
@@ -53,26 +46,9 @@ struct NetworkConfig {
 
 class Network {
  public:
-  /// Hold-table backend. kAuto picks a dense array at n <= kDenseThreshold
-  /// and sparse hash storage above; the explicit values exist so property
-  /// tests can run the sparse structure at small n in lockstep against the
-  /// dense one. Both are lazy: nothing is allocated until the first hold().
-  enum class Storage { kAuto, kDense, kSparse };
-
-  /// Largest n for which kAuto keeps the dense n x n table. 64 x 64 links
-  /// is 32 KiB of hold floors — cheap; past that the quadratic table
-  /// dominates a run's footprint while sweeps rarely touch more than a few
-  /// hundred links.
-  static constexpr int kDenseThreshold = 64;
-
   /// `n` fixes the process-id space [0, n) the per-link table covers.
-  Network(NetworkConfig config, int n, std::uint64_t seed,
-          Storage storage = Storage::kAuto)
-      : config_(config),
-        n_(n),
-        rng_(seed),
-        dense_(storage == Storage::kDense ||
-               (storage == Storage::kAuto && n <= kDenseThreshold)) {}
+  Network(NetworkConfig config, int n, std::uint64_t seed)
+      : config_(config), n_(n), rng_(seed) {}
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
@@ -81,18 +57,7 @@ class Network {
   /// hold on the same link overwrites the earlier one. Throws
   /// std::out_of_range for ids outside [0, n).
   void hold(ProcessId from, ProcessId to, Time until) {
-    const std::size_t idx = link(from, to);
-    if (dense_) {
-      if (holds_.empty()) {
-        holds_.assign(
-            static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
-            kNoHold);
-      }
-      holds_[idx] = until;
-    } else {
-      sparse_holds_[idx] = until;
-    }
-    any_holds_ = true;
+    holds_[link(from, to)] = until;
   }
 
   /// Symmetric hold between two groups of processes.
@@ -116,9 +81,6 @@ class Network {
   /// be in [0, n) — Simulator::do_send guarantees this.
   [[nodiscard]] Time arrival_time(ProcessId from, ProcessId to,
                                   Time send_time) {
-    const std::size_t idx = static_cast<std::size_t>(from) *
-                                static_cast<std::size_t>(n_) +
-                            static_cast<std::size_t>(to);
     const Time lower = send_time + config_.min_delay;
     const Time upper = model_bound(send_time);
 
@@ -137,10 +99,12 @@ class Network {
           lower, std::min(upper, send_time + config_.default_pre_gst_cap));
       arrival = rng_.uniform(lower, cap);
     }
-    // kNoHold is -infinity, so an un-held link takes the max unchanged;
-    // skipping the lookup when no hold was ever installed is therefore
-    // observably identical, not a shortcut.
-    if (any_holds_) arrival = std::max(arrival, hold_floor(idx));
+    if (!holds_.empty()) {
+      const auto it = holds_.find(static_cast<std::size_t>(from) *
+                                      static_cast<std::size_t>(n_) +
+                                  static_cast<std::size_t>(to));
+      if (it != holds_.end()) arrival = std::max(arrival, it->second);
+    }
     if (arrival < lower) arrival = lower;
     if (arrival > upper) arrival = upper;
     return arrival;
@@ -151,28 +115,14 @@ class Network {
     return std::max(send_time, config_.gst) + config_.delta;
   }
 
-  /// True when this instance uses the dense n x n table (kAuto resolved at
-  /// construction). Exposed for the hybrid-equivalence tests.
-  [[nodiscard]] bool dense_storage() const { return dense_; }
-
-  /// Bytes held by the hold table right now — 0 until the first hold(),
-  /// O(active links) in sparse mode. Approximate for the hash backend
-  /// (buckets are not counted); used by tests and benches to pin the
-  /// lazy/sparse behavior, not for accounting.
+  /// Bytes held by the hold table right now: 0 until the first hold(),
+  /// then O(active links). Approximate (buckets are not counted); used by
+  /// tests to pin the lazy behavior, not for accounting.
   [[nodiscard]] std::size_t link_table_bytes() const {
-    return holds_.capacity() * sizeof(Time) +
-           sparse_holds_.size() * (sizeof(std::size_t) + sizeof(Time));
+    return holds_.size() * (sizeof(std::size_t) + sizeof(Time));
   }
 
  private:
-  static constexpr Time kNoHold = -std::numeric_limits<Time>::infinity();
-
-  [[nodiscard]] Time hold_floor(std::size_t idx) const {
-    if (dense_) return holds_[idx];
-    const auto it = sparse_holds_.find(idx);
-    return it == sparse_holds_.end() ? kNoHold : it->second;
-  }
-
   /// Row-major (from, to) index with validation — hold() goes through
   /// here; arrival_time trusts its caller.
   [[nodiscard]] std::size_t link(ProcessId from, ProcessId to) const {
@@ -188,12 +138,9 @@ class Network {
   NetworkConfig config_;
   int n_;
   Rng rng_;
-  bool dense_;
-  bool any_holds_ = false;  // false => no hold lookup at all
-  std::vector<Time> holds_;  // dense backend, lazily sized n x n
-  // Sparse backend: keyed by the same row-major link index. Lookup-only on
-  // the hot path (never iterated), so unordered storage stays deterministic.
-  std::unordered_map<std::size_t, Time> sparse_holds_;
+  // Keyed by the row-major link index. Lookup-only (never iterated), so
+  // unordered storage stays deterministic.
+  std::unordered_map<std::size_t, Time> holds_;
   DelayPolicy policy_;
 };
 

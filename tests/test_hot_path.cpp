@@ -1,5 +1,5 @@
-// Unit tests for the zero-allocation hot-path structures: the flat-array
-// Network (checked property-style against a reference implementation with
+// Unit tests for the zero-allocation hot-path structures: the Network hold
+// table (checked property-style against a reference implementation with
 // the historical map semantics), the interned-id Metrics breakdown, the
 // payload-type registry, the payload slab's lifetime guarantees, and the
 // release-mode validation of Simulator::do_send.
@@ -96,14 +96,18 @@ void run_lockstep(Network& flat, ReferenceNetwork& reference, int n,
 }
 
 TEST(NetworkFlatArrays, MatchesMapSemanticsUnderRandomOps) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    NetworkConfig config;
-    config.gst = 10.0;
-    config.delta = 1.0;
-    const std::uint64_t net_seed = seed * 7919;
-    Network flat(config, 6, net_seed);
-    ReferenceNetwork reference(config, net_seed);
-    run_lockstep(flat, reference, 6, seed, 3000);
+  // Small systems, where holds collide on few links, and one past 64,
+  // the size the committee and large-n cells run at.
+  for (const int n : {3, 6, 8, 17, 100}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      NetworkConfig config;
+      config.gst = 10.0;
+      config.delta = 1.0;
+      const std::uint64_t net_seed = seed * 7919;
+      Network flat(config, n, net_seed);
+      ReferenceNetwork reference(config, net_seed);
+      run_lockstep(flat, reference, n, seed, 3000);
+    }
   }
 }
 

@@ -1,12 +1,13 @@
 // Proposal-pattern and network-profile dimensions (harness/pattern.hpp,
-// harness/net_profile.hpp): registry contents and error paths, pinned
-// built-in assignments, the named profiles' delay policies end to end,
-// point_at ↔ build() equivalence on a matrix with every axis non-trivial,
-// job-count determinism of the "validity" matrix, the CorrectProposal
-// solvability flip that motivated the axes (unsolvable at domain 3 under
-// rotating, solved at domain 2 under adversarial — ROADMAP open item 1),
-// the grace-window / queue-drained satellite, and a regression pinning
-// that the legacy "full" wire format is byte-identical to pre-refactor.
+// harness/net_profile.hpp): pinned built-in assignments (the registry's
+// contents and error paths are in test_strategies), the
+// named profiles' delay policies end to end, point_at ↔ build()
+// equivalence on a matrix with every axis non-trivial, job-count
+// determinism of the "validity" matrix, the CorrectProposal solvability
+// flip that motivated the axes (unsolvable at domain 3 under rotating,
+// solved at domain 2 under adversarial — ROADMAP open item 1), the
+// grace-window / queue-drained satellite, and a regression pinning that
+// the legacy "full" wire format is byte-identical to pre-refactor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,48 +69,6 @@ void expect_equal_results(const std::vector<SweepOutcome>& a,
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ the registry
-
-TEST(PatternRegistry, BuiltinsAreRegistered) {
-  auto& registry = PatternRegistry::global();
-  for (const char* name : {"rotating", "unanimous", "split", "adversarial"}) {
-    EXPECT_TRUE(registry.contains(name)) << name;
-    EXPECT_NE(registry.make(name), nullptr) << name;
-  }
-  const auto names = registry.names();
-  EXPECT_GE(names.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-}
-
-TEST(PatternRegistry, UnknownNameThrowsAndListsRegistered) {
-  try {
-    static_cast<void>(PatternRegistry::global().make("no-such-pattern"));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no-such-pattern"), std::string::npos) << what;
-    EXPECT_NE(what.find("rotating"), std::string::npos)
-        << "message should list registered patterns: " << what;
-  }
-}
-
-TEST(PatternRegistry, RejectsDuplicatesEmptyNamesAndNullFactories) {
-  PatternRegistry registry;  // a private registry; global() stays clean
-  registry.add("mine",
-               [] { return PatternRegistry::global().make("rotating"); });
-  EXPECT_TRUE(registry.contains("mine"));
-  EXPECT_THROW(registry.add("mine", [] {
-    return PatternRegistry::global().make("rotating");
-  }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add("", [] {
-    return PatternRegistry::global().make("rotating");
-  }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add("null", PatternRegistry::Factory{}),
-               std::invalid_argument);
-}
 
 // ----------------------------------------------- pinned built-in patterns
 
@@ -295,7 +254,10 @@ TEST(PatternMatrix, ValidityMatrixIsHealthyAndJobCountDeterministic) {
   const auto jobs1 = SweepRunner(1).run(points);
   const auto jobs4 = SweepRunner(4).run(points);
   expect_equal_results(jobs1, jobs4);
-  const auto summary = SweepRunner::summarize(jobs1, 1.0);
+  harness::io::JsonSummary summary;
+  for (const auto& o : jobs1) {
+    summary.add(harness::io::parse_outcome_line(harness::io::outcome_line(o)));
+  }
   EXPECT_EQ(summary.total, points.size());
   EXPECT_EQ(summary.decided, points.size());
   EXPECT_EQ(summary.agreement_violations, 0u);

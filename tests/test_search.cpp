@@ -3,11 +3,12 @@
 // near-miss scoring, job-count-independent determinism of the whole
 // report, shrinker idempotence and minimization, the planted colluding
 // violations the search must find and shrink, the counterexample cell
-// round trip, and the ExecutionReport edge cases the verdicts rest on
+// round trip (exact integers, escaped names), and the ExecutionReport edge cases the verdicts rest on
 // (pruned faulty decisions, no-decision runs, grace-cut vs genuine stall,
 // queue_drained both ways).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -41,6 +42,24 @@ SearchOptions unsound_options(std::uint64_t search_seed) {
   options.budget = 48;
   options.population = 12;
   return options;
+}
+
+/// The cell cell_json writes for `c`. parse_cell reads only the wire, so
+/// no run is needed.
+std::string cell_text(const Candidate& c) {
+  Counterexample cx;
+  cx.candidate = c;
+  cx.verdict = Verdict::kTermination;
+  return harness::cell_json(cx);
+}
+
+/// `json` with the value of field `key` replaced by `value`.
+std::string with_field(std::string json, const std::string& key,
+                       const std::string& value) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto start = json.find(needle) + needle.size();
+  const auto end = json.find_first_of(",}", start);
+  return json.replace(start, end - start, value);
 }
 
 }  // namespace
@@ -314,6 +333,39 @@ TEST(CellFormat, ParserIsStrict) {
   ASSERT_NE(pos, std::string::npos);
   json.erase(pos, json.find(',', pos) + 2 - pos);
   EXPECT_THROW((void)harness::parse_cell(json), std::runtime_error);
+}
+
+TEST(CellFormat, IntegerFieldsAreReadExactly) {
+  const std::string json = cell_text(Candidate{});
+  for (const char* key : {"n", "seed"}) {
+    for (const char* bad :
+         {"1e300", "inf", "nan", "3.7", "18446744073709551616", "-1"}) {
+      EXPECT_THROW((void)harness::parse_cell(with_field(json, key, bad)),
+                   std::runtime_error)
+          << key << ": " << bad;
+    }
+  }
+  // A double rounds 2^60 + 1 to 2^60 and cannot hold 2^64 - 1.
+  for (const std::uint64_t seed : {(std::uint64_t{1} << 60) + 1,
+                                   ~std::uint64_t{0}}) {
+    Candidate c;
+    c.seed = seed;
+    EXPECT_EQ(harness::parse_cell(cell_text(c)).candidate.seed, seed);
+  }
+}
+
+TEST(CellFormat, EscapedNamesRoundTrip) {
+  // parse_cell looks up only the topology name, so none of these needs
+  // registering.
+  Candidate c;
+  c.strategy = "a\"b";
+  c.pattern = "back\\slash \"quoted\"";
+  c.net_profile = "ends in \\";
+  const Candidate back = harness::parse_cell(cell_text(c)).candidate;
+  EXPECT_EQ(back.strategy, c.strategy);
+  EXPECT_EQ(back.pattern, c.pattern);
+  EXPECT_EQ(back.net_profile, c.net_profile);
+  EXPECT_TRUE(back == c);
 }
 
 // ------------------------------------------- ExecutionReport edge cases

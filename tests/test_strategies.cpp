@@ -1,25 +1,31 @@
-// Adversary-strategy framework (harness/strategy.hpp): registry contents
-// and error paths, legacy FaultKind-name aliases (round-trip against the
-// pinned "full"-matrix labels), determinism of the new mutation /
-// scheduled-equivocation / adaptive strategies across job counts, custom
-// strategy registration end to end, and the --strategies matrix filter.
+// Adversary-strategy framework (harness/strategy.hpp): the contents and
+// error paths of both name registries (the strategy and pattern
+// instantiations of harness/registry.hpp, mostly one typed suite), legacy
+// FaultKind-name aliases (round-trip against the pinned "full"-matrix
+// labels), determinism of the new mutation / scheduled-equivocation /
+// adaptive strategies across job counts, custom strategy registration end
+// to end, and the --strategies matrix filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "valcon/core/lambda.hpp"
+#include "valcon/harness/pattern.hpp"
 #include "valcon/harness/strategy.hpp"
 #include "valcon/harness/sweep.hpp"
+#include "valcon/harness/sweep_io.hpp"
 #include "valcon/sim/adversary.hpp"
 
 using namespace valcon;
 using namespace valcon::core;
 using harness::Fault;
 using harness::FaultSpec;
+using harness::PatternRegistry;
 using harness::ScenarioConfig;
 using harness::ScenarioMatrix;
 using harness::Strategy;
@@ -62,29 +68,83 @@ void expect_equal_results(const std::vector<SweepOutcome>& a,
 
 // ------------------------------------------------------------ the registry
 
-TEST(StrategyRegistry, BuiltinsAreRegistered) {
-  auto& registry = StrategyRegistry::global();
-  for (const char* name : {"silent", "crash", "equivocate", "delay", "mutate",
-                           "equivocate-scheduled", "adaptive"}) {
+/// What the NameRegistry suite needs to know about each registry.
+template <typename R>
+struct RegistryCase;
+
+template <>
+struct RegistryCase<StrategyRegistry> {
+  static constexpr std::array<const char*, 7> kBuiltins{
+      "silent", "crash", "equivocate", "delay", "mutate",
+      "equivocate-scheduled", "adaptive"};
+  static constexpr const char* kUnknown = "no-such-strategy";
+  /// A registered name the unknown-name message must list.
+  static constexpr const char* kListed = "crash";
+};
+
+template <>
+struct RegistryCase<PatternRegistry> {
+  static constexpr std::array<const char*, 4> kBuiltins{
+      "rotating", "unanimous", "split", "adversarial"};
+  static constexpr const char* kUnknown = "no-such-pattern";
+  static constexpr const char* kListed = "rotating";
+};
+
+template <typename R>
+class NameRegistry : public ::testing::Test {};
+
+using Registries = ::testing::Types<StrategyRegistry, PatternRegistry>;
+TYPED_TEST_SUITE(NameRegistry, Registries);
+
+TYPED_TEST(NameRegistry, BuiltinsAreRegistered) {
+  using Case = RegistryCase<TypeParam>;
+  auto& registry = TypeParam::global();
+  for (const char* name : Case::kBuiltins) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_NE(registry.make(name), nullptr) << name;
   }
   const auto names = registry.names();
-  EXPECT_GE(names.size(), 7u);
+  EXPECT_GE(names.size(), Case::kBuiltins.size());
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
-TEST(StrategyRegistry, UnknownNameThrowsAndListsRegistered) {
+TYPED_TEST(NameRegistry, UnknownNameThrowsAndListsRegistered) {
+  using Case = RegistryCase<TypeParam>;
   try {
-    static_cast<void>(StrategyRegistry::global().make("no-such-strategy"));
+    static_cast<void>(TypeParam::global().make(Case::kUnknown));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("no-such-strategy"), std::string::npos) << what;
-    EXPECT_NE(what.find("crash"), std::string::npos)
-        << "message should list registered strategies: " << what;
+    EXPECT_NE(what.find(Case::kUnknown), std::string::npos) << what;
+    EXPECT_NE(what.find(Case::kListed), std::string::npos)
+        << "message should list registered names: " << what;
   }
 }
+
+/// Registration error paths, run on a private registry so global() stays
+/// clean.
+template <typename R>
+void expect_rejects_duplicates_empty_names_and_null_factories() {
+  using Case = RegistryCase<R>;
+  R registry;
+  const auto builtin = [] { return R::global().make(Case::kListed); };
+  registry.add("mine", builtin);
+  EXPECT_TRUE(registry.contains("mine"));
+  EXPECT_THROW(registry.add("mine", builtin), std::invalid_argument);
+  EXPECT_THROW(registry.add("", builtin), std::invalid_argument);
+  EXPECT_THROW(registry.add("null", typename R::Factory{}),
+               std::invalid_argument);
+}
+
+TEST(StrategyRegistry, RejectsDuplicatesEmptyNamesAndNullFactories) {
+  expect_rejects_duplicates_empty_names_and_null_factories<StrategyRegistry>();
+}
+
+TEST(PatternRegistry, RejectsDuplicatesEmptyNamesAndNullFactories) {
+  expect_rejects_duplicates_empty_names_and_null_factories<PatternRegistry>();
+}
+
+// ----------------------------------------------------- StrategyRegistry
 
 TEST(StrategyRegistry, UnknownStrategyInScenarioIsRejectedUpFront) {
   ScenarioConfig cfg = base_config();
@@ -93,22 +153,6 @@ TEST(StrategyRegistry, UnknownStrategyInScenarioIsRejectedUpFront) {
   const StrongValidity validity;
   EXPECT_THROW(static_cast<void>(harness::run_universal(
                    cfg, make_lambda(validity, cfg.n, cfg.t))),
-               std::invalid_argument);
-}
-
-TEST(StrategyRegistry, RejectsDuplicatesEmptyNamesAndNullFactories) {
-  StrategyRegistry registry;  // a private registry; global() stays clean
-  registry.add("mine", [] { return StrategyRegistry::global().make("silent"); });
-  EXPECT_TRUE(registry.contains("mine"));
-  EXPECT_THROW(registry.add("mine", [] {
-    return StrategyRegistry::global().make("silent");
-  }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add("", [] {
-    return StrategyRegistry::global().make("silent");
-  }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add("null", StrategyRegistry::Factory{}),
                std::invalid_argument);
 }
 
@@ -206,7 +250,10 @@ TEST(NewStrategies, ByzantineMatrixCoversThemAndStaysHealthy) {
     EXPECT_EQ(fault_names.count(name), 1u) << name;
   }
   const auto outcomes = SweepRunner(4).run(points);
-  const auto summary = SweepRunner::summarize(outcomes, 1.0);
+  harness::io::JsonSummary summary;
+  for (const auto& o : outcomes) {
+    summary.add(harness::io::parse_outcome_line(harness::io::outcome_line(o)));
+  }
   EXPECT_EQ(summary.decided, points.size());
   EXPECT_EQ(summary.agreement_violations, 0u);
   EXPECT_EQ(summary.validity_violations, 0u);

@@ -233,7 +233,10 @@ TEST(SweepRunner, RunRangeRejectsBadSlicesAndPropagatesSinkErrors) {
 TEST(SweepRunner, SmokeMatrixIsHealthy) {
   const auto points = harness::named_matrix("smoke").build();
   const auto outcomes = SweepRunner(2).run(points);
-  const auto summary = SweepRunner::summarize(outcomes, 1.0);
+  harness::io::JsonSummary summary;
+  for (const auto& o : outcomes) {
+    summary.add(harness::io::parse_outcome_line(harness::io::outcome_line(o)));
+  }
   EXPECT_EQ(summary.total, points.size());
   EXPECT_EQ(summary.decided, points.size());
   EXPECT_EQ(summary.agreement_violations, 0u);

@@ -14,6 +14,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "valcon/harness/search.hpp"
 #include "valcon/harness/sweep.hpp"
@@ -70,6 +72,20 @@ std::string shard_document_text(const ScenarioMatrix& matrix,
 io::ShardDocument parse_text(const std::string& text) {
   std::istringstream is(text);
   return io::parse_document(is);
+}
+
+/// Values an integer field must reject: a float overflowing every integer
+/// type, inf, nan, a fraction, 2^64 and a negative count.
+const std::vector<std::string> kNonCounts{
+    "1e300", "inf", "nan", "3.7", "18446744073709551616", "-1"};
+
+/// `text` with the value of field `key` replaced by `value`.
+std::string with_field(std::string text, const std::string& key,
+                       const std::string& value) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto start = text.find(needle) + needle.size();
+  const auto end = text.find_first_of(",}", start);
+  return text.replace(start, end - start, value);
 }
 
 }  // namespace
@@ -261,6 +277,24 @@ TEST(Checkpoint, JsonRoundTripAndWorkIdentity) {
                std::runtime_error);
 }
 
+TEST(Checkpoint, IntegerFieldsAreReadExactly) {
+  io::Checkpoint cp;
+  cp.matrix = "full";
+  cp.shard = {0, 1};
+  cp.total = 720;
+  cp.end = 720;  // begin 0: a `next` misread as 0 or 3 stays consistent
+  cp.next = 100;
+  cp.sidecar_bytes = ~std::uint64_t{0};  // 2^64 - 1: no double holds it
+  const std::string text = cp.to_json();
+  EXPECT_EQ(io::Checkpoint::parse(text).sidecar_bytes, cp.sidecar_bytes);
+  for (const std::string& bad : kNonCounts) {
+    const std::string edited = with_field(text, "next", bad);
+    EXPECT_THROW(static_cast<void>(io::Checkpoint::parse(edited)),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
 TEST(Checkpoint, AtomicWriteAndSidecarTornLineRecovery) {
   TempFile file("sidecar");
   io::atomic_write(file.path(), "one\ntwo\nthree\ntorn-no-newline");
@@ -346,6 +380,24 @@ TEST(ParseDocument, RejectsMalformedDocuments) {
       "\"begin\": 0, \"end\": 9},\n"
       "  \"scenarios\": [\n  ],\n  \"summary\": {}\n}\n";
   EXPECT_THROW(static_cast<void>(parse_text(bad)), std::runtime_error);
+}
+
+TEST(ParseDocument, ShardHeaderIntegersAreReadExactly) {
+  // Shard 3 of 4 over 8 cells owns [6, 8): a header index misread as 3
+  // would pass every range check.
+  const std::string header =
+      "  \"shard\": {\"index\": 3, \"count\": 4, \"total\": 8, "
+      "\"begin\": 6, \"end\": 8},\n";
+  const auto document = [](const std::string& shard) {
+    return "{\n  \"matrix\": \"x\",\n" + shard +
+           "  \"scenarios\": [\n  ],\n  \"summary\": {}\n}\n";
+  };
+  EXPECT_EQ(parse_text(document(header)).shard->index, 3);
+  for (const std::string& bad : kNonCounts) {
+    const std::string text = document(with_field(header, "index", bad));
+    EXPECT_THROW(static_cast<void>(parse_text(text)), std::runtime_error)
+        << bad;
+  }
 }
 
 // ----------------------------------------------------- the axis contract

@@ -1,9 +1,7 @@
-// Tests for the large-n scaling layer: the hybrid dense/sparse Network
-// hold table (property-checked in lockstep, dense vs sparse, mirroring
-// test_hot_path's reference-network approach), lazy hold-table and
-// key-registry allocation, the Topology axis (parsing, validation, wire
-// gating, checkpoint identity), committee scenarios end to end under both
-// cert modes (including announce forgery rejection at the crypto layer),
+// Tests for the large-n scaling layer: lazy hold-table and key-registry
+// allocation, the Topology axis (parsing, validation, wire gating,
+// checkpoint identity), committee scenarios end to end under both cert
+// modes (including announce forgery rejection at the crypto layer),
 // the committee's message scaling against the Dolev-Reischuk floor, the
 // input contract of loglog_slope, and the committee matrix's job-count
 // independence down to the emitted bytes.
@@ -31,76 +29,26 @@ using namespace valcon::harness;
 
 namespace {
 
-// ------------------------------------------------------ hybrid link tables
-
-/// Drives a dense-backed and a sparse-backed Network through one identical
-/// seeded script of holds and arrival queries. Both consume their
-/// own Rng identically (same constructor seed, same query order), so any
-/// behavioral difference between the backends shows up as a mismatched
-/// arrival on some later query — the same lockstep shape
-/// test_hot_path.cpp uses against its reference implementation.
-void run_lockstep_script(int n, std::uint64_t seed) {
-  sim::NetworkConfig cfg;
-  cfg.gst = 5.0;
-  cfg.delta = 1.0;
-  sim::Network dense(cfg, n, seed, sim::Network::Storage::kDense);
-  sim::Network sparse(cfg, n, seed, sim::Network::Storage::kSparse);
-  ASSERT_TRUE(dense.dense_storage());
-  ASSERT_FALSE(sparse.dense_storage());
-
-  sim::Rng script(seed ^ 0xabcdef);
-  Time now = 0.0;
-  for (int step = 0; step < 2000; ++step) {
-    const auto from = static_cast<ProcessId>(script.next_below(n));
-    const auto to = static_cast<ProcessId>(script.next_below(n));
-    if (script.next_below(8) == 0) {  // install or overwrite a hold
-      const Time until = script.uniform(0.0, 20.0);
-      dense.hold(from, to, until);
-      sparse.hold(from, to, until);
-    } else {  // query — the common case, as on the real hot path
-      now += script.uniform(0.0, 0.5);
-      ASSERT_EQ(dense.arrival_time(from, to, now),
-                sparse.arrival_time(from, to, now))
-          << "arrival divergence at step " << step;
-    }
-  }
-}
-
-TEST(HybridNetwork, SparseMatchesDenseUnderSeededAdversaryScripts) {
-  for (const int n : {3, 8, 17}) {
-    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-      run_lockstep_script(n, seed);
-    }
-  }
-}
-
-TEST(HybridNetwork, AutoStorageSwitchesAtTheDocumentedThreshold) {
-  sim::NetworkConfig cfg;
-  const sim::Network at(cfg, sim::Network::kDenseThreshold, 1);
-  const sim::Network above(cfg, sim::Network::kDenseThreshold + 1, 1);
-  EXPECT_TRUE(at.dense_storage());
-  EXPECT_FALSE(above.dense_storage());
-}
+// --------------------------------------------------------- lazy hold table
+// (The suite keeps its name from when the table had a dense and a sparse
+// backend; test_hot_path checks the one table against a reference.)
 
 TEST(HybridNetwork, LinkTablesAllocateLazily) {
   sim::NetworkConfig cfg;
-  for (const auto storage :
-       {sim::Network::Storage::kDense, sim::Network::Storage::kSparse}) {
-    sim::Network net(cfg, 50, 3, storage);
-    EXPECT_EQ(net.link_table_bytes(), 0u);
-    // A clean run queries arrivals without ever touching the tables.
-    for (int i = 0; i < 100; ++i) {
-      static_cast<void>(net.arrival_time(i % 50, (i + 1) % 50, 0.1 * i));
-    }
-    EXPECT_EQ(net.link_table_bytes(), 0u);
-    net.hold(0, 1, 4.0);
-    EXPECT_GT(net.link_table_bytes(), 0u);
+  sim::Network net(cfg, 50, 3);
+  EXPECT_EQ(net.link_table_bytes(), 0u);
+  // A clean run queries arrivals without ever touching the table.
+  for (int i = 0; i < 100; ++i) {
+    static_cast<void>(net.arrival_time(i % 50, (i + 1) % 50, 0.1 * i));
   }
+  EXPECT_EQ(net.link_table_bytes(), 0u);
+  net.hold(0, 1, 4.0);
+  EXPECT_GT(net.link_table_bytes(), 0u);
 }
 
 TEST(HybridNetwork, SparseMemoryIsProportionalToActiveLinks) {
   sim::NetworkConfig cfg;
-  sim::Network net(cfg, 100000, 1, sim::Network::Storage::kSparse);
+  sim::Network net(cfg, 100000, 1);
   net.hold(0, 99999, 2.0);
   net.hold(99999, 0, 2.0);
   // Two active links on a 10^10-link id space: far below what even one
@@ -110,12 +58,9 @@ TEST(HybridNetwork, SparseMemoryIsProportionalToActiveLinks) {
 
 TEST(HybridNetwork, MutationValidatesIdsInBothBackends) {
   sim::NetworkConfig cfg;
-  for (const auto storage :
-       {sim::Network::Storage::kDense, sim::Network::Storage::kSparse}) {
-    sim::Network net(cfg, 4, 1, storage);
-    EXPECT_THROW(net.hold(0, 4, 1.0), std::out_of_range);
-    EXPECT_THROW(net.hold(-1, 0, 1.0), std::out_of_range);
-  }
+  sim::Network net(cfg, 4, 1);
+  EXPECT_THROW(net.hold(0, 4, 1.0), std::out_of_range);
+  EXPECT_THROW(net.hold(-1, 0, 1.0), std::out_of_range);
 }
 
 // ------------------------------------------------------- lazy key registry
