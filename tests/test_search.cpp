@@ -12,6 +12,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "valcon/core/execution_checker.hpp"
@@ -297,21 +298,32 @@ TEST(CellFormat, RoundTripsThroughJsonAndFilename) {
   c.victims = 1;
   c.observe = 4;
   c.seed = 7;
-  Counterexample cx;
-  cx.candidate = c;
-  cx.outcome = evaluate(c);
-  cx.verdict = classify(cx.outcome);
-  ASSERT_EQ(cx.verdict, Verdict::kTermination);
+  // The gated axes off their defaults: each adds a file-name segment. (A
+  // silent fault stalls this committee of all three processes.)
+  Candidate gated = c;
+  gated.strategy = "silent";
+  gated.cert = core::CertMode::kAggregate;
+  gated.topology = "committee-3";
+  for (const auto& [candidate, filename] :
+       {std::pair{c, "termination-nonauth-collude-withhold-n3t1-s7.json"},
+        std::pair{gated,
+                  "termination-nonauth-silent-aggregate-committee-3-n3t1-"
+                  "s7.json"}}) {
+    Counterexample cx;
+    cx.candidate = candidate;
+    cx.outcome = evaluate(candidate);
+    cx.verdict = classify(cx.outcome);
+    ASSERT_EQ(cx.verdict, Verdict::kTermination) << filename;
 
-  const std::string json = harness::cell_json(cx);
-  const CorpusCell cell = harness::parse_cell(json);
-  EXPECT_TRUE(cell.candidate == c);
-  EXPECT_EQ(cell.verdict, cx.verdict);
-  EXPECT_EQ(cell.expect_decided, cx.outcome.decided);
-  EXPECT_EQ(cell.expect_agreement, cx.outcome.agreement);
-  EXPECT_EQ(cell.expect_validity_ok, cx.outcome.validity_ok);
-  EXPECT_EQ(harness::cell_filename(cx),
-            "termination-nonauth-collude-withhold-n3t1-s7.json");
+    const std::string json = harness::cell_json(cx);
+    const CorpusCell cell = harness::parse_cell(json);
+    EXPECT_TRUE(cell.candidate == candidate) << filename;
+    EXPECT_EQ(cell.verdict, cx.verdict);
+    EXPECT_EQ(cell.expect_decided, cx.outcome.decided);
+    EXPECT_EQ(cell.expect_agreement, cx.outcome.agreement);
+    EXPECT_EQ(cell.expect_validity_ok, cx.outcome.validity_ok);
+    EXPECT_EQ(harness::cell_filename(cx), filename);
+  }
 }
 
 TEST(CellFormat, ParserIsStrict) {

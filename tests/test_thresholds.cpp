@@ -1,8 +1,8 @@
 // Pins core::thresholds: the value table at the paper's boundary
 // regimes, the input-validation throws, and — the load-bearing check —
 // that the protocol layer's behaviour stays byte-identical: the five
-// named sweep matrices, one adversary sweep and one unsound-regime search
-// report must hash to the digests committed under tests/golden/. A
+// named sweep matrices, one adversary sweep and two unsound-regime search
+// reports must hash to the digests committed under tests/golden/. A
 // threshold off-by-one (or any other change to when a quorum fires)
 // anywhere in consensus/ or bcast/ changes decision timing or outcomes and
 // shows up here as a digest mismatch.
@@ -157,18 +157,31 @@ harness::ScenarioMatrix adversaries_matrix() {
       .seeds({1, 2});
 }
 
-// The report of `valcon_search --search-seed 42 --budget 256
+// The options of `valcon_search --search-seed 42 --budget 256
 // --sizes 4/2,3/1 --cert-modes per-vote,aggregate`: default pools at
 // unsound sizes, where 2t+1 can exceed n, cells run to the horizon and
 // the shrinker replays every counterexample it finds.
-std::string search_document() {
+harness::SearchOptions search_options() {
   harness::SearchOptions options;
   options.search_seed = 42;
   options.budget = 256;
   options.jobs = 4;
   options.space.sizes = {{4, 2}, {3, 1}};
-  options.space.cert_modes = {core::CertMode::kPerVote,
-                              core::CertMode::kAggregate};
+  options.space.set_pool(harness::Axis::kCertMode, {"per-vote", "aggregate"});
+  return options;
+}
+
+// The report of the search above ("search"), or of the same search with
+// `--topologies full-mesh,committee-3` ("search_axes"). Only the second
+// pins the gated writer: in the first, every shrunk cell and the best
+// near-miss fall back to the per-vote, full-mesh defaults, so its report
+// carries no cert_mode or topology field.
+std::string search_document(const std::string& name) {
+  harness::SearchOptions options = search_options();
+  if (name == "search_axes") {
+    options.space.set_pool(harness::Axis::kTopology,
+                           {"full-mesh", "committee-3"});
+  }
   return harness::report_json(harness::run_search(options));
 }
 
@@ -185,15 +198,15 @@ std::string sha256_hex(const std::string& text) {
 }
 
 // One pinned document per name: the five named matrices, the adversary
-// sweep, then the search report. tests/golden/<name>.sha256 holds its
+// sweep, then the two search reports. tests/golden/<name>.sha256 holds its
 // digest (first token).
 class GoldenDocument : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenDocument, MatchesCommittedDigest) {
   const std::string& name = GetParam();
   std::string text;
-  if (name == "search") {
-    text = search_document();
+  if (name.rfind("search", 0) == 0) {
+    text = search_document(name);
   } else if (name == "adversaries") {
     text = sweep_document(name, adversaries_matrix());
   } else {
@@ -215,7 +228,7 @@ TEST_P(GoldenDocument, MatchesCommittedDigest) {
 INSTANTIATE_TEST_SUITE_P(
     Pinned, GoldenDocument,
     ::testing::Values("full", "byzantine", "validity", "certs", "committee",
-                      "adversaries", "search"),
+                      "adversaries", "search", "search_axes"),
     [](const ::testing::TestParamInfo<std::string>& param_info) {
       return param_info.param;
     });
