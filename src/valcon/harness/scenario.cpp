@@ -117,10 +117,14 @@ void validate(const ScenarioConfig& cfg) {
     // checks its parameters.
     StrategyRegistry::global().make(fault.strategy)->validate(fault, cfg);
   }
-  if (cfg.delta <= 0) fail("delta must be positive");
-  if (cfg.gst < 0) fail("gst must be >= 0");
-  if (cfg.horizon <= 0) fail("horizon must be positive");
-  if (cfg.grace_multiplier <= 0) fail("grace_multiplier must be positive");
+  if (!positive_finite(cfg.delta)) fail("delta must be positive and finite");
+  if (!nonnegative_finite(cfg.gst)) fail("gst must be finite and >= 0");
+  if (!positive_finite(cfg.horizon)) {
+    fail("horizon must be positive and finite");
+  }
+  if (!positive_finite(cfg.grace_multiplier)) {
+    fail("grace_multiplier must be positive and finite");
+  }
   cfg.net_profile.validate(cfg.n);
   // The profile cannot see delta on its own, so the relative constraint
   // lives here: a minimum latency above delta inverts the post-GST
@@ -296,9 +300,8 @@ double loglog_slope(const std::vector<double>& xs,
     throw std::invalid_argument(
         "loglog_slope: needs two equal-length series of at least 2 points");
   }
-  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
-  if (!std::all_of(xs.begin(), xs.end(), positive) ||
-      !std::all_of(ys.begin(), ys.end(), positive)) {
+  if (!std::all_of(xs.begin(), xs.end(), positive_finite) ||
+      !std::all_of(ys.begin(), ys.end(), positive_finite)) {
     throw std::invalid_argument(
         "loglog_slope: every value must be positive and finite");
   }

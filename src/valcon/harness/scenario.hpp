@@ -5,6 +5,7 @@
 // examples.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -253,12 +254,24 @@ struct RunResult {
     const ScenarioConfig& cfg, Value proposal, core::LambdaFn lambda,
     core::Universal::DecideCb on_decide);
 
+/// Whether `v` is finite and > 0 (a usable delta or horizon), and whether
+/// it is finite and >= 0 (a usable GST). A bare `v <= 0` rejection lets
+/// NaN through, since NaN fails every comparison, and infinity passes it;
+/// either one stalls a run that waits on the time.
+[[nodiscard]] inline bool positive_finite(double v) {
+  return std::isfinite(v) && v > 0.0;
+}
+[[nodiscard]] inline bool nonnegative_finite(double v) {
+  return std::isfinite(v) && v >= 0.0;
+}
+
 /// Throws std::invalid_argument unless cfg is well-formed: n > 0,
 /// 0 <= t < n, one proposal per process, at most t faults, every fault id
 /// in [0, n), every fault strategy registered (with valid parameters, per
-/// the strategy's own validate hook), delta > 0, gst >= 0, horizon > 0,
-/// grace_multiplier > 0, a well-formed net_profile (its own validate) and
-/// a well-formed topology (its own validate, against n).
+/// the strategy's own validate hook), delta, horizon and grace_multiplier
+/// positive and finite, gst finite and >= 0, a well-formed net_profile
+/// (its own validate) and a well-formed topology (its own validate,
+/// against n).
 void validate(const ScenarioConfig& cfg);
 
 /// Runs Universal end to end with the given Λ. Validates cfg first (see

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "valcon/harness/sweep_io.hpp"
@@ -20,121 +25,222 @@ Verdict classify(const SweepOutcome& outcome) {
   return Verdict::kClean;
 }
 
-std::string verdict_token(Verdict v) {
-  switch (v) {
-    case Verdict::kClean: return "clean";
-    case Verdict::kTermination: return "termination";
-    case Verdict::kAgreement: return "agreement";
-    case Verdict::kValidity: return "validity";
-    case Verdict::kError: return "error";
-  }
-  return "?";
-}
-
-std::optional<Verdict> verdict_from_token(const std::string& token) {
-  if (token == "clean") return Verdict::kClean;
-  if (token == "termination") return Verdict::kTermination;
-  if (token == "agreement") return Verdict::kAgreement;
-  if (token == "validity") return Verdict::kValidity;
-  if (token == "error") return Verdict::kError;
-  return std::nullopt;
-}
-
-std::string vc_token(VcKind vc) {
-  switch (vc) {
-    case VcKind::kAuthenticated: return "auth";
-    case VcKind::kNonAuthenticated: return "nonauth";
-    case VcKind::kFast: return "fast";
-  }
-  return "?";
-}
-
-std::optional<VcKind> vc_from_token(const std::string& token) {
-  if (token == "auth") return VcKind::kAuthenticated;
-  if (token == "nonauth") return VcKind::kNonAuthenticated;
-  if (token == "fast") return VcKind::kFast;
-  return std::nullopt;
-}
-
-std::string validity_token(ValidityKind kind) {
-  switch (kind) {
-    case ValidityKind::kStrong: return "strong";
-    case ValidityKind::kWeak: return "weak";
-    case ValidityKind::kCorrectProposal: return "correct-proposal";
-    case ValidityKind::kMedian: return "median";
-    case ValidityKind::kConvexHull: return "convex-hull";
-  }
-  return "?";
-}
-
-std::optional<ValidityKind> validity_from_token(const std::string& token) {
-  if (token == "strong") return ValidityKind::kStrong;
-  if (token == "weak") return ValidityKind::kWeak;
-  if (token == "correct-proposal") return ValidityKind::kCorrectProposal;
-  if (token == "median") return ValidityKind::kMedian;
-  if (token == "convex-hull") return ValidityKind::kConvexHull;
-  return std::nullopt;
-}
-
-bool Candidate::operator==(const Candidate& other) const {
-  return strategy == other.strategy && fault_count == other.fault_count &&
-         vc == other.vc && validity == other.validity &&
-         pattern == other.pattern && net_profile == other.net_profile &&
-         n == other.n && t == other.t && gst == other.gst &&
-         delta == other.delta && domain == other.domain &&
-         victims == other.victims && observe == other.observe &&
-         cert == other.cert && topology == other.topology &&
-         seed == other.seed;
-}
-
 namespace {
 
-/// The candidate with every axis at its default: the values the wire gate
-/// leaves out of keys, cells and file names, and the ones shrinking tries.
-const Candidate& defaults() {
-  static const Candidate kDefaults;
-  return kDefaults;
+/// One wire token of an enum.
+template <typename E>
+struct Token {
+  E value;
+  const char* text;
+};
+
+// Each enum's tokens, spelled once and read both ways.
+constexpr Token<Verdict> kVerdictTokens[] = {
+    {Verdict::kClean, "clean"},         {Verdict::kTermination, "termination"},
+    {Verdict::kAgreement, "agreement"}, {Verdict::kValidity, "validity"},
+    {Verdict::kError, "error"},
+};
+constexpr Token<VcKind> kVcTokens[] = {
+    {VcKind::kAuthenticated, "auth"},
+    {VcKind::kNonAuthenticated, "nonauth"},
+    {VcKind::kFast, "fast"},
+};
+constexpr Token<ValidityKind> kValidityTokens[] = {
+    {ValidityKind::kStrong, "strong"},
+    {ValidityKind::kWeak, "weak"},
+    {ValidityKind::kCorrectProposal, "correct-proposal"},
+    {ValidityKind::kMedian, "median"},
+    {ValidityKind::kConvexHull, "convex-hull"},
+};
+
+constexpr const auto& tokens(Verdict /*tag*/) { return kVerdictTokens; }
+constexpr const auto& tokens(VcKind /*tag*/) { return kVcTokens; }
+constexpr const auto& tokens(ValidityKind /*tag*/) { return kValidityTokens; }
+
+template <typename E>
+std::string token_of(E value) {
+  for (const auto& [v, text] : tokens(value)) {
+    if (v == value) return text;
+  }
+  return "?";
+}
+
+template <typename E>
+std::optional<E> from_token(const std::string& token) {
+  for (const auto& [v, text] : tokens(E{})) {
+    if (token == text) return v;
+  }
+  return std::nullopt;
+}
+
+// ------------------------------------------------------------ cell fields
+
+/// One field of a counterexample cell.
+struct Field {
+  const char* key;  // its JSON member
+  /// A "-<value>" segment of the cell file name.
+  bool segment = false;
+  /// A wire-gated named axis: left out of the cell, key() and the file
+  /// name at its table default, and checked by the axis when read.
+  std::optional<Axis> gate = std::nullopt;
+};
+
+/// The cell's fields in corpus-JSON order: the one list the cell writer,
+/// parse_cell, key() and cell_filename derive from. `visit(field, value)`
+/// runs once per field; C is Candidate or const Candidate.
+template <typename C, typename Visit>
+void visit_fields(C& c, Visit&& visit) {
+  visit(Field{"vc", true}, c.vc);
+  visit(Field{"validity"}, c.validity);
+  visit(Field{"strategy", true}, c.named[Axis::kStrategy]);
+  visit(Field{"fault_count"}, c.fault_count);
+  visit(Field{"pattern"}, c.named[Axis::kPattern]);
+  visit(Field{"net_profile"}, c.named[Axis::kNetProfile]);
+  visit(Field{"n"}, c.n);
+  visit(Field{"t"}, c.t);
+  visit(Field{"gst"}, c.gst);
+  visit(Field{"delta"}, c.delta);
+  visit(Field{"domain"}, c.domain);
+  visit(Field{"victims"}, c.victims);
+  visit(Field{"observe"}, c.observe);
+  // Axes added after the first corpus are gated, so its cells keep their
+  // bytes.
+  const auto gated = [&](const char* key, Axis axis) {
+    visit(Field{key, true, axis}, c.named[axis]);
+  };
+  gated("cert_mode", Axis::kCertMode);
+  gated("topology", Axis::kTopology);
+  visit(Field{"seed"}, c.seed);
+}
+
+/// visit_fields() over the fields the wire gate keeps.
+template <typename Visit>
+void visit_written(const Candidate& c, Visit&& visit) {
+  visit_fields(c, [&visit](const Field& f, const auto& value) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 std::string>) {
+      if (f.gate && value == axis_info(*f.gate).default_value) return;
+    }
+    visit(f, value);
+  });
+}
+
+/// A field's text in key() and the file name.
+template <typename T>
+std::string text(const T& value) {
+  if constexpr (std::is_enum_v<T>) {
+    return token_of(value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return io::json_number(value);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else {
+    return value;
+  }
+}
+
+/// A field's JSON value: numbers bare, names and tokens quoted.
+template <typename T>
+std::string json_value(const T& value) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return text(value);
+  } else {
+    return "\"" + io::json_escape(text(value)) + "\"";
+  }
+}
+
+[[noreturn]] void bad_cell(const std::string& what) {
+  throw std::runtime_error("malformed counterexample cell: " + what);
+}
+
+/// A field parse_cell requires: present and well formed.
+template <typename T>
+T required(std::optional<T> value, const std::string& key) {
+  if (!value.has_value()) bad_cell("missing or malformed field '" + key + "'");
+  return *std::move(value);
+}
+
+/// Reads field `f` of `json` into `value`, strictly.
+template <typename T>
+void read_field(const std::string& json, const Field& f, T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    value = required(io::bool_field(json, f.key), f.key);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    value = required(io::number_field(json, f.key), f.key);
+  } else if constexpr (std::is_integral_v<T>) {
+    value = required(io::integer_field<T>(json, f.key), f.key);
+  } else {
+    std::string token = required(io::string_field(json, f.key), f.key);
+    if constexpr (std::is_enum_v<T>) {
+      const std::optional<T> parsed = from_token<T>(token);
+      if (!parsed.has_value()) {
+        bad_cell(std::string("unknown ") + f.key + " token");
+      }
+      value = *parsed;
+    } else {
+      if (f.gate) {
+        // A corpus cell must always replay.
+        try {
+          axis_info(*f.gate).check(token);
+        } catch (const std::invalid_argument& e) {
+          bad_cell(std::string(f.key) + ": " + e.what());
+        }
+      }
+      value = std::move(token);
+    }
+  }
 }
 
 }  // namespace
 
+std::string verdict_token(Verdict v) { return token_of(v); }
+std::optional<Verdict> verdict_from_token(const std::string& token) {
+  return from_token<Verdict>(token);
+}
+std::string vc_token(VcKind vc) { return token_of(vc); }
+std::optional<VcKind> vc_from_token(const std::string& token) {
+  return from_token<VcKind>(token);
+}
+std::string validity_token(ValidityKind kind) { return token_of(kind); }
+std::optional<ValidityKind> validity_from_token(const std::string& token) {
+  return from_token<ValidityKind>(token);
+}
+
 std::string Candidate::key() const {
-  std::ostringstream os;
-  os << strategy << '/' << fault_count << '/' << vc_token(vc) << '/'
-     << validity_token(validity) << '/' << pattern << '/' << net_profile
-     << '/' << n << '/' << t << '/' << io::json_number(gst) << '/'
-     << io::json_number(delta) << '/' << domain << '/' << victims << '/'
-     << observe << '/';
-  // Wire-gated like the cell JSON: the defaults (the historical only
-  // values) stay absent, so legacy keys are unchanged.
-  if (cert != defaults().cert) os << core::cert_mode_token(cert) << '/';
-  if (topology != defaults().topology) os << topology << '/';
-  os << seed;
-  return os.str();
+  std::string key;
+  const char* sep = "";
+  visit_written(*this, [&](const Field& /*f*/, const auto& value) {
+    key += sep + text(value);
+    sep = "/";
+  });
+  return key;
 }
 
 SweepPoint candidate_point(const Candidate& c) {
   FaultSpec spec;  // "none" keeps the default strategy, with no faults
-  if (c.strategy == "none") {
+  const std::string& strategy = c.named[Axis::kStrategy];
+  if (strategy == "none") {
     spec.count = 0;
   } else {
-    spec.strategy = c.strategy;
+    spec.strategy = strategy;
     spec.count = c.fault_count;
   }
   spec.victims = c.victims;
   spec.observe = c.observe;
-  return ScenarioMatrix()
-      .vc_kinds({c.vc})
+  ScenarioMatrix matrix;
+  for (const AxisInfo& info : axes()) {
+    // The strategy reaches the matrix through the fault spec above.
+    if (info.axis != Axis::kStrategy) {
+      matrix.declare(info.axis, {c.named[info.axis]});
+    }
+  }
+  return matrix.vc_kinds({c.vc})
       .validities({c.validity})
-      .patterns({c.pattern})
       .faults({spec})
       .sizes({{c.n, c.t}})
-      .network_profiles({c.net_profile})
       .gsts({c.gst})
       .deltas({c.delta})
       .seeds({c.seed})
-      .cert_modes({c.cert})
-      .topologies({c.topology})
       .proposal_domain(c.domain)
       .record_near_miss(true)
       // Bounded liveness cutoff: a non-terminating candidate (the search's
@@ -176,90 +282,91 @@ double near_miss_score(const SweepOutcome& outcome) {
 
 void SearchSpace::set_pool(Axis axis, const std::vector<std::string>& names) {
   for (const std::string& name : names) axis_info(axis).check(name);
-  switch (axis) {
-    case Axis::kStrategy: strategies = names; break;
-    case Axis::kPattern: patterns = names; break;
-    case Axis::kNetProfile: net_profiles = names; break;
-    case Axis::kCertMode:
-      cert_modes.clear();
-      for (const std::string& name : names) {
-        cert_modes.push_back(*core::cert_mode_from_token(name));
-      }
-      break;
-    case Axis::kTopology: topologies = names; break;
-  }
+  named[axis] = names;
 }
 
 namespace {
+
+// ------------------------------------------------------------------ drawing
 
 template <typename T>
 const T& pick(sim::Rng& rng, const std::vector<T>& pool) {
   return pool[static_cast<std::size_t>(rng.next_below(pool.size()))];
 }
 
-std::uint64_t sample_seed(sim::Rng& rng) {
-  // Small seeds keep shrunk cells readable and give seed re-derivation a
-  // realistic chance; the space is still far larger than any budget.
-  return 1 + rng.next_below(1u << 16);
+/// Redraws a typed field from its pool.
+template <auto Field, auto Pool>
+void draw(sim::Rng& rng, const SearchSpace& space, Candidate& c) {
+  c.*Field = pick(rng, space.*Pool);
 }
+
+/// Redraws named axis A from its pool.
+template <Axis A>
+void draw_named(sim::Rng& rng, const SearchSpace& space, Candidate& c) {
+  c.named[A] = pick(rng, space.named[A]);
+}
+
+/// One step of the draw order: redraws one part of a candidate.
+struct Draw {
+  void (*redraw)(sim::Rng& rng, const SearchSpace& space, Candidate& c);
+  bool fresh = true;  // sample() takes it too, not only mutate()
+};
+
+/// The draw order sample() and mutate() share. sample() takes the fresh
+/// steps in order; mutate() takes one or two steps at random. The search
+/// goldens pin the order through the RNG stream: every step draws, even
+/// from a one-value pool.
+constexpr Draw kDraws[] = {
+    {draw_named<Axis::kStrategy>},
+    {draw<&Candidate::vc, &SearchSpace::vcs>},
+    {draw<&Candidate::validity, &SearchSpace::validities>},
+    {draw_named<Axis::kPattern>},
+    {draw_named<Axis::kNetProfile>},
+    {[](sim::Rng& rng, const SearchSpace& s, Candidate& c) {
+      std::tie(c.n, c.t) = pick(rng, s.sizes);
+      if (c.fault_count > c.t) c.fault_count = -1;
+    }},
+    {draw<&Candidate::gst, &SearchSpace::gsts>},
+    {draw<&Candidate::delta, &SearchSpace::deltas>},
+    {draw<&Candidate::domain, &SearchSpace::domains>},
+    // The fault knobs. A fresh candidate has all t faulty with the Fault
+    // defaults; shrinking minimizes later.
+    {[](sim::Rng& rng, const SearchSpace& /*s*/, Candidate& c) {
+       c.fault_count = c.t > 0 ? static_cast<int>(1 + rng.next_below(
+                                     static_cast<std::uint64_t>(c.t)))
+                               : 0;
+     },
+     false},
+    {[](sim::Rng& rng, const SearchSpace& /*s*/, Candidate& c) {
+       // Small pools for the knobs the colluding/adaptive strategies
+       // consume (-1 = the Fault default).
+       static const std::vector<int> kVictims{-1, 1, 2, 3};
+       static const std::vector<int> kObserve{-1, 1, 4, 8, 16, 32};
+       c.victims = pick(rng, kVictims);
+       c.observe = pick(rng, kObserve);
+     },
+     false},
+    {draw_named<Axis::kCertMode>},
+    {draw_named<Axis::kTopology>},
+    {[](sim::Rng& rng, const SearchSpace& /*s*/, Candidate& c) {
+      // Small seeds keep shrunk cells readable and give seed re-derivation
+      // a realistic chance; the space is still far larger than any budget.
+      c.seed = 1 + rng.next_below(1U << 16);
+    }},
+};
 
 Candidate sample(sim::Rng& rng, const SearchSpace& space) {
   Candidate c;
-  c.strategy = pick(rng, space.strategies);
-  c.vc = pick(rng, space.vcs);
-  c.validity = pick(rng, space.validities);
-  c.pattern = pick(rng, space.patterns);
-  c.net_profile = pick(rng, space.net_profiles);
-  const auto [n, t] = pick(rng, space.sizes);
-  c.n = n;
-  c.t = t;
-  c.gst = pick(rng, space.gsts);
-  c.delta = pick(rng, space.deltas);
-  c.domain = pick(rng, space.domains);
-  c.fault_count = -1;  // all t faulty; shrinking minimizes later
-  c.cert = pick(rng, space.cert_modes);
-  c.topology = pick(rng, space.topologies);
-  c.seed = sample_seed(rng);
+  for (const Draw& draw : kDraws) {
+    if (draw.fresh) draw.redraw(rng, space, c);
+  }
   return c;
 }
 
 Candidate mutate(sim::Rng& rng, const SearchSpace& space, Candidate c) {
-  // Small knob pools for the fault parameters the colluding/adaptive
-  // strategies consume (-1 = the Fault default).
-  static const std::vector<int> kVictims{-1, 1, 2, 3};
-  static const std::vector<int> kObserve{-1, 1, 4, 8, 16, 32};
   const int tweaks = 1 + static_cast<int>(rng.next_below(2));
   for (int i = 0; i < tweaks; ++i) {
-    switch (rng.next_below(14)) {
-      case 0: c.strategy = pick(rng, space.strategies); break;
-      case 1: c.vc = pick(rng, space.vcs); break;
-      case 2: c.validity = pick(rng, space.validities); break;
-      case 3: c.pattern = pick(rng, space.patterns); break;
-      case 4: c.net_profile = pick(rng, space.net_profiles); break;
-      case 5: {
-        const auto [n, t] = pick(rng, space.sizes);
-        c.n = n;
-        c.t = t;
-        if (c.fault_count > t) c.fault_count = -1;
-        break;
-      }
-      case 6: c.gst = pick(rng, space.gsts); break;
-      case 7: c.delta = pick(rng, space.deltas); break;
-      case 8: c.domain = pick(rng, space.domains); break;
-      case 9:
-        c.fault_count =
-            c.t > 0 ? static_cast<int>(1 + rng.next_below(
-                          static_cast<std::uint64_t>(c.t)))
-                    : 0;
-        break;
-      case 10:
-        c.victims = pick(rng, kVictims);
-        c.observe = pick(rng, kObserve);
-        break;
-      case 11: c.cert = pick(rng, space.cert_modes); break;
-      case 12: c.topology = pick(rng, space.topologies); break;
-      default: c.seed = sample_seed(rng); break;
-    }
+    kDraws[rng.next_below(std::size(kDraws))].redraw(rng, space, c);
   }
   return c;
 }
@@ -273,17 +380,15 @@ void require_nonempty(bool ok, const char* axis) {
 
 void check_options(const SearchOptions& options) {
   const SearchSpace& s = options.space;
-  require_nonempty(!s.strategies.empty(), "strategy");
+  for (const AxisInfo& info : axes()) {
+    require_nonempty(!s.named[info.axis].empty(), info.name);
+  }
   require_nonempty(!s.vcs.empty(), "vc");
   require_nonempty(!s.validities.empty(), "validity");
-  require_nonempty(!s.patterns.empty(), "pattern");
-  require_nonempty(!s.net_profiles.empty(), "network-profile");
   require_nonempty(!s.sizes.empty(), "size");
   require_nonempty(!s.gsts.empty(), "gst");
   require_nonempty(!s.deltas.empty(), "delta");
   require_nonempty(!s.domains.empty(), "domain");
-  require_nonempty(!s.cert_modes.empty(), "cert-mode");
-  require_nonempty(!s.topologies.empty(), "topology");
   if (options.budget <= 0) {
     throw std::invalid_argument("search budget must be positive");
   }
@@ -294,30 +399,101 @@ void check_options(const SearchOptions& options) {
 
 // ---------------------------------------------------------------- shrinking
 
-/// Sizes of the pool strictly simpler than (n, t): fewer processes first,
-/// then lower tolerance.
-std::vector<std::pair<int, int>> simpler_sizes(const SearchSpace& space,
-                                               int n, int t) {
-  std::vector<std::pair<int, int>> out;
-  for (const auto& size : space.sizes) {
-    if (size.first < n || (size.first == n && size.second < t)) {
-      out.push_back(size);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+/// One shrink step: the variants of a candidate it offers, simplest first,
+/// each strictly simpler than the candidate.
+using ShrinkStep = std::vector<Candidate> (*)(const Candidate& c,
+                                              const SearchOptions& options);
+
+/// The values of `pool` below `current`, ascending and distinct.
+template <typename T>
+std::vector<T> below(std::vector<T> pool, const T& current) {
+  std::erase_if(pool, [&current](const T& v) { return !(v < current); });
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  return pool;
+}
+
+/// `c` with `field` at each value of `pool` below its own, ascending.
+template <typename T>
+std::vector<Candidate> lower(const Candidate& c, T Candidate::*field,
+                             const std::vector<T>& pool) {
+  std::vector<Candidate> out;
+  for (const T& v : below(pool, c.*field)) out.emplace_back(c).*field = v;
   return out;
 }
 
-/// Times of the pool strictly smaller than `current`, ascending.
-std::vector<Time> smaller_times(const std::vector<Time>& pool, Time current) {
-  std::vector<Time> out;
-  for (const Time v : pool) {
-    if (v < current) out.push_back(v);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+/// lower() over a typed field's search pool.
+template <auto Field, auto Pool>
+std::vector<Candidate> lower_in_pool(const Candidate& c,
+                                     const SearchOptions& options) {
+  return lower(c, Field, options.space.*Pool);
+}
+
+/// `c` with named axis A at its table default.
+template <Axis A>
+std::vector<Candidate> reset_named(const Candidate& c,
+                                   const SearchOptions& /*options*/) {
+  const char* simplest = axis_info(A).default_value;
+  if (c.named[A] == simplest) return {};
+  std::vector<Candidate> out{c};
+  out.back().named[A] = simplest;
   return out;
+}
+
+/// The shrink order. A pass takes each step once and accepts its first
+/// variant that keeps the verdict. The identity axes (strategy, stack,
+/// property) are never touched: they name WHAT broke, not how hard the
+/// cell is to read.
+constexpr ShrinkStep kShrinkOrder[] = {
+    // Fewer processes first, then lower tolerance.
+    [](const Candidate& c, const SearchOptions& options) {
+      std::vector<Candidate> out;
+      for (const auto& [n, t] : below(options.space.sizes, {c.n, c.t})) {
+        Candidate& next = out.emplace_back(c);
+        next.n = n;
+        next.t = t;
+        // >= keeps the count canonical (see shrink()): a count equal to
+        // the new t is the same cell as -1.
+        if (next.fault_count >= t) next.fault_count = -1;
+      }
+      return out;
+    },
+    [](const Candidate& c, const SearchOptions& /*options*/) {
+      std::vector<Candidate> out;
+      const int resolved =
+          c.fault_count < 0 ? c.t : std::min(c.fault_count, c.t);
+      for (int k = 1; k < resolved; ++k) out.emplace_back(c).fault_count = k;
+      return out;
+    },
+    reset_named<Axis::kPattern>,
+    reset_named<Axis::kNetProfile>,
+    lower_in_pool<&Candidate::gst, &SearchSpace::gsts>,
+    lower_in_pool<&Candidate::delta, &SearchSpace::deltas>,
+    lower_in_pool<&Candidate::domain, &SearchSpace::domains>,
+    [](const Candidate& c, const SearchOptions& /*options*/) {
+      std::vector<Candidate> out;
+      if (c.victims != -1 || c.observe != -1) {
+        Candidate& next = out.emplace_back(c);
+        next.victims = -1;
+        next.observe = -1;
+      }
+      return out;
+    },
+    // Per-vote and full-mesh are the simpler cells: a violation that
+    // survives without aggregation, or without the committee overlay, is
+    // not about the QC layer or the announce/relay layer at all.
+    reset_named<Axis::kCertMode>,
+    reset_named<Axis::kTopology>,
+};
+
+/// Seed re-derivation: `c` at each seed in [1, seed_tries] below its own,
+/// ascending.
+std::vector<Candidate> smaller_seeds(const Candidate& c,
+                                     const SearchOptions& options) {
+  std::vector<std::uint64_t> seeds(
+      static_cast<std::size_t>(std::max(options.seed_tries, 0)));
+  std::iota(seeds.begin(), seeds.end(), std::uint64_t{1});
+  return lower(c, &Candidate::seed, seeds);
 }
 
 }  // namespace
@@ -336,117 +512,31 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
   // count >= t names the same cell as -1 ("all t faulty"). Normalizing to
   // -1 costs no probe and makes equal cells share a key (dedup) and a
   // corpus file name.
-  if (cur.strategy != "none" && cur.fault_count >= cur.t) {
+  if (cur.named[Axis::kStrategy] != "none" && cur.fault_count >= cur.t) {
     cur.fault_count = -1;
   }
-  const SearchSpace& space = options.space;
-  // Axis passes to a fixpoint. Each pass tries strictly simpler values for
-  // one axis (simplest first) and accepts the first that preserves the
-  // verdict; the identity axes (strategy, stack, property) are never
-  // touched — they name WHAT broke, not how hard the cell is to read.
-  bool changed = true;
-  // Resets one axis to its default, the simpler cell, if the verdict holds.
-  const auto simplify = [&](auto field) {
-    if (cur.*field == defaults().*field) return;
-    Candidate next = cur;
-    next.*field = defaults().*field;
-    if (reproduces(next)) {
-      cur = next;
-      changed = true;
+  // Takes the step's first variant that keeps the verdict.
+  const auto simplify = [&](ShrinkStep step) {
+    for (const Candidate& next : step(cur, options)) {
+      if (reproduces(next)) {
+        cur = next;
+        return true;
+      }
     }
+    return false;
   };
+  // The shrink order's passes, to a fixpoint.
+  bool changed = true;
   while (changed && probes < options.max_shrink_probes) {
     changed = false;
-    for (const auto& [n, t] : simpler_sizes(space, cur.n, cur.t)) {
-      Candidate next = cur;
-      next.n = n;
-      next.t = t;
-      // >= keeps the count canonical (see entry): a count equal to the new
-      // t is the same cell as -1.
-      if (next.fault_count >= t) next.fault_count = -1;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
-    }
-    const int resolved =
-        cur.fault_count < 0 ? cur.t : std::min(cur.fault_count, cur.t);
-    for (int k = 1; k < resolved; ++k) {
-      Candidate next = cur;
-      next.fault_count = k;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
-    }
-    simplify(&Candidate::pattern);
-    simplify(&Candidate::net_profile);
-    for (const Time gst : smaller_times(space.gsts, cur.gst)) {
-      Candidate next = cur;
-      next.gst = gst;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
-    }
-    for (const Time delta : smaller_times(space.deltas, cur.delta)) {
-      Candidate next = cur;
-      next.delta = delta;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
-    }
-    {
-      std::vector<Value> domains;
-      for (const Value d : space.domains) {
-        if (d < cur.domain) domains.push_back(d);
-      }
-      std::sort(domains.begin(), domains.end());
-      for (const Value d : domains) {
-        Candidate next = cur;
-        next.domain = d;
-        if (reproduces(next)) {
-          cur = next;
-          changed = true;
-          break;
-        }
-      }
-    }
-    if (cur.victims != -1 || cur.observe != -1) {
-      Candidate next = cur;
-      next.victims = -1;
-      next.observe = -1;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
-    // The per-vote backend is the simpler cell: a violation that survives
-    // without aggregation is not about the QC layer at all.
-    simplify(&Candidate::cert);
-    // Likewise full-mesh: a violation that survives without the committee
-    // overlay is not about the announce/relay layer at all.
-    simplify(&Candidate::topology);
-  }
-  // Seed re-derivation: the smallest seed in [1, seed_tries] below the
-  // found one that still reproduces. Ascending order + first-accept keeps
-  // this idempotent: once replaced, no smaller reproducing seed exists.
-  for (std::uint64_t s = 1;
-       s <= static_cast<std::uint64_t>(std::max(options.seed_tries, 0)) &&
-       s < cur.seed && probes < options.max_shrink_probes;
-       ++s) {
-    Candidate next = cur;
-    next.seed = s;
-    if (reproduces(next)) {
-      cur = next;
-      break;
+    for (const ShrinkStep step : kShrinkOrder) {
+      if (simplify(step)) changed = true;
     }
   }
+  // Then the smallest reproducing seed replaces the found one. Ascending
+  // order + first-accept: once replaced, no smaller reproducing seed
+  // exists.
+  simplify(smaller_seeds);
 
   Counterexample cx;
   cx.candidate = cur;
@@ -554,30 +644,14 @@ SearchReport run_search(const SearchOptions& options) {
 
 namespace {
 
-/// The candidate's axis fields as JSON members (no braces), shared by the
-/// cell format and the report's best-near-miss block.
+/// The candidate's fields as JSON members (no braces), shared by the cell
+/// format and the report's best-near-miss block.
 void candidate_fields(std::ostream& os, const Candidate& c) {
-  os << "\"vc\": \"" << vc_token(c.vc) << "\", "
-     << "\"validity\": \"" << validity_token(c.validity) << "\", "
-     << "\"strategy\": \"" << io::json_escape(c.strategy) << "\", "
-     << "\"fault_count\": " << c.fault_count << ", "
-     << "\"pattern\": \"" << io::json_escape(c.pattern) << "\", "
-     << "\"net_profile\": \"" << io::json_escape(c.net_profile) << "\", "
-     << "\"n\": " << c.n << ", \"t\": " << c.t << ", "
-     << "\"gst\": " << io::json_number(c.gst) << ", "
-     << "\"delta\": " << io::json_number(c.delta) << ", "
-     << "\"domain\": " << c.domain << ", "
-     << "\"victims\": " << c.victims << ", "
-     << "\"observe\": " << c.observe << ", ";
-  // Wire-gated (same convention as the sweep axes): the defaults are
-  // absent, so every legacy corpus cell keeps its exact bytes.
-  if (c.cert != defaults().cert) {
-    os << "\"cert_mode\": \"" << core::cert_mode_token(c.cert) << "\", ";
-  }
-  if (c.topology != defaults().topology) {
-    os << "\"topology\": \"" << io::json_escape(c.topology) << "\", ";
-  }
-  os << "\"seed\": " << c.seed;
+  const char* sep = "";
+  visit_written(c, [&](const Field& f, const auto& value) {
+    os << sep << '"' << f.key << "\": " << json_value(value);
+    sep = ", ";
+  });
 }
 
 void cell_object(std::ostream& os, const Counterexample& cx) {
@@ -589,17 +663,6 @@ void cell_object(std::ostream& os, const Counterexample& cx) {
      << ", \"agreement\": " << (cx.outcome.agreement ? "true" : "false")
      << ", \"validity_ok\": " << (cx.outcome.validity_ok ? "true" : "false")
      << "}}";
-}
-
-[[noreturn]] void bad_cell(const std::string& what) {
-  throw std::runtime_error("malformed counterexample cell: " + what);
-}
-
-/// A field parse_cell requires: present and well formed.
-template <typename T>
-T required(std::optional<T> value, const std::string& key) {
-  if (!value.has_value()) bad_cell("missing or malformed field '" + key + "'");
-  return *std::move(value);
 }
 
 }  // namespace
@@ -614,74 +677,39 @@ std::string cell_json(const Counterexample& cx) {
 CorpusCell parse_cell(const std::string& json) {
   // Strict: every field goes through sweep_io's readers (escaped strings
   // unescaped, integers read exactly) and a missing one is an error.
-  const auto text = [&json](const std::string& key) {
-    return required(io::string_field(json, key), key);
-  };
-  const auto integer = [&json](const std::string& key) {
-    return required(io::integer_field<int>(json, key), key);
-  };
-  const auto count = [&integer](const std::string& key) {
-    const int v = integer(key);
-    if (v < 0) bad_cell("negative field '" + key + "'");
-    return v;
-  };
-  const auto number = [&json](const std::string& key) {
-    return required(io::number_field(json, key), key);
-  };
-  const auto flag = [&json](const std::string& key) {
-    return required(io::bool_field(json, key), key);
-  };
-  if (text("schema") != "valcon-counterexample-v1") bad_cell("unknown schema");
   CorpusCell cell;
-  const auto verdict = verdict_from_token(text("verdict"));
-  if (!verdict.has_value()) bad_cell("unknown verdict token");
-  cell.verdict = *verdict;
-  Candidate& c = cell.candidate;
-  const auto vc = vc_from_token(text("vc"));
-  if (!vc.has_value()) bad_cell("unknown vc token");
-  c.vc = *vc;
-  const auto validity = validity_from_token(text("validity"));
-  if (!validity.has_value()) bad_cell("unknown validity token");
-  c.validity = *validity;
-  c.strategy = text("strategy");
-  c.fault_count = integer("fault_count");
-  c.pattern = text("pattern");
-  c.net_profile = text("net_profile");
-  c.n = count("n");
-  c.t = count("t");
-  c.gst = number("gst");
-  c.delta = number("delta");
-  c.domain = count("domain");
-  c.victims = integer("victims");
-  c.observe = integer("observe");
-  // Absent on legacy cells (strictness exception: absence IS the per-vote
-  // / full-mesh default under the wire gate, not a malformed cell).
-  if (json.find("\"cert_mode\": \"") != std::string::npos) {
-    const auto cert = core::cert_mode_from_token(text("cert_mode"));
-    if (!cert.has_value()) bad_cell("unknown cert_mode token");
-    c.cert = *cert;
-  }
-  if (json.find("\"topology\": \"") != std::string::npos) {
-    c.topology = text("topology");
-    // Throws for malformed names; a corpus cell must always replay.
-    static_cast<void>(named_topology(c.topology));
-  }
-  c.seed = required(io::integer_field<std::uint64_t>(json, "seed"), "seed");
-  cell.expect_decided = flag("decided");
-  cell.expect_agreement = flag("agreement");
-  cell.expect_validity_ok = flag("validity_ok");
+  std::string schema;
+  read_field(json, Field{"schema"}, schema);
+  if (schema != "valcon-counterexample-v1") bad_cell("unknown schema");
+  read_field(json, Field{"verdict"}, cell.verdict);
+  visit_fields(cell.candidate, [&json](const Field& f, auto& value) {
+    // A gated field is absent at its default: not a malformed cell.
+    if (f.gate && json.find('"' + std::string(f.key) + "\": ") ==
+                      std::string::npos) {
+      return;
+    }
+    read_field(json, f, value);
+  });
+  const Candidate& c = cell.candidate;
+  // A cell that names no runnable configuration is malformed too.
+  if (c.n < 1 || c.t < 0 || c.t >= c.n) bad_cell("size violates 0 <= t < n");
+  if (c.domain < 2) bad_cell("domain below 2");
+  if (!nonnegative_finite(c.gst)) bad_cell("gst not finite and >= 0");
+  if (!positive_finite(c.delta)) bad_cell("delta not finite and > 0");
+  read_field(json, Field{"decided"}, cell.expect_decided);
+  read_field(json, Field{"agreement"}, cell.expect_agreement);
+  read_field(json, Field{"validity_ok"}, cell.expect_validity_ok);
   return cell;
 }
 
 std::string cell_filename(const Counterexample& cx) {
   const Candidate& c = cx.candidate;
-  std::ostringstream os;
-  os << verdict_token(cx.verdict) << "-" << vc_token(c.vc) << "-"
-     << c.strategy;
-  if (c.cert != defaults().cert) os << "-" << core::cert_mode_token(c.cert);
-  if (c.topology != defaults().topology) os << "-" << c.topology;
-  os << "-n" << c.n << "t" << c.t << "-s" << c.seed << ".json";
-  return os.str();
+  std::string name = verdict_token(cx.verdict);
+  visit_written(c, [&name](const Field& f, const auto& value) {
+    if (f.segment) name += "-" + text(value);
+  });
+  return name + "-n" + std::to_string(c.n) + "t" + std::to_string(c.t) +
+         "-s" + std::to_string(c.seed) + ".json";
 }
 
 std::string report_json(const SearchReport& report) {

@@ -73,14 +73,17 @@ enum class Verdict {
 /// sweep uses (faulty ids are the highest ids, negative fields resolve
 /// per-scenario, near-miss recording is on).
 struct Candidate {
-  // Each named axis defaults to its axis-table default. Strategy "none"
-  // is fault-free.
-  std::string strategy = axis_info(Axis::kStrategy).default_value;
+  /// The five named axes (sweep.hpp's axis table), each at its table
+  /// default until set; the cert mode is held as its token, as in
+  /// ScenarioMatrix. Strategy "none" is fault-free. Cert mode and topology
+  /// are wire-gated: at their defaults they are absent from key(), the cell
+  /// JSON and the cell file name, so every older corpus cell keeps its
+  /// bytes and identity. A committee larger than n evaluates to an error
+  /// verdict (run_universal rejects it), never a crash.
+  PerAxis<std::string> named = axis_defaults();
   int fault_count = -1;  // -1 resolves to t
   VcKind vc = VcKind::kAuthenticated;
   ValidityKind validity = ValidityKind::kStrong;
-  std::string pattern = axis_info(Axis::kPattern).default_value;
-  std::string net_profile = axis_info(Axis::kNetProfile).default_value;
   int n = 4;
   int t = 1;
   Time gst = 0.0;
@@ -88,21 +91,11 @@ struct Candidate {
   Value domain = 3;
   int victims = -1;  // adaptive / collude-withhold; -1 = Fault default
   int observe = -1;  // adaptive / collude-withhold; -1 = Fault default
-  /// Certificate backend (core/quorum.hpp). Follows the wire-gating
-  /// convention of the sweep axes: the per-vote default is absent from
-  /// key(), the cell JSON and the cell file name, so every legacy corpus
-  /// cell keeps its exact bytes and identity.
-  core::CertMode cert =
-      *core::cert_mode_from_token(axis_info(Axis::kCertMode).default_value);
-  /// Communication topology (harness/topology.hpp). Wire-gated like cert:
-  /// the full-mesh default is absent from key(), the cell JSON and the
-  /// cell file name. A committee larger than n evaluates to an error
-  /// verdict (run_universal rejects it), never a crash.
-  std::string topology = axis_info(Axis::kTopology).default_value;
   std::uint64_t seed = 1;
 
-  [[nodiscard]] bool operator==(const Candidate& other) const;
-  /// Stable human-readable identity (also the dedup key).
+  [[nodiscard]] bool operator==(const Candidate& other) const = default;
+  /// Stable human-readable identity (also the dedup key): the cell's
+  /// fields in corpus-JSON order, '/'-separated.
   [[nodiscard]] std::string key() const;
 };
 
@@ -126,33 +119,33 @@ struct Candidate {
 /// exactly what the CI smoke run asserts. Counterexamples for the corpus
 /// come from explicitly unsound sizes (e.g. --sizes 4/2).
 struct SearchSpace {
-  std::vector<std::string> strategies{
-      "silent",       "crash",           "equivocate",
-      "delay",        "mutate",          "equivocate-scheduled",
-      "adaptive",     "collude-equivocate", "collude-withhold",
-      "forge-qc"};
+  /// The named-axis pools, in Axis order (cert modes as tokens).
+  PerAxis<std::vector<std::string>> named{{{
+      // strategy
+      {"silent", "crash", "equivocate", "delay", "mutate",
+       "equivocate-scheduled", "adaptive", "collude-equivocate",
+       "collude-withhold", "forge-qc"},
+      // pattern
+      {"rotating", "unanimous", "split", "adversarial"},
+      // network profile
+      {"uniform", "pre-gst-starve", "targeted-slow-links"},
+      // cert mode: per-vote alone keeps the historical search
+      // byte-identical; `--cert-modes per-vote,aggregate` widens the pool
+      // so forge-qc (inert per-vote) has QCs to forge.
+      {"per-vote"},
+      // topology: `--topologies full-mesh,committee-4` lets the search
+      // attack the committee announce/relay layer; pair it with sizes large
+      // enough for the committees, since a committee larger than n is an
+      // error cell.
+      {"full-mesh"},
+  }}};
   std::vector<VcKind> vcs{VcKind::kAuthenticated, VcKind::kNonAuthenticated,
                           VcKind::kFast};
   std::vector<ValidityKind> validities{ValidityKind::kStrong};
-  std::vector<std::string> patterns{"rotating", "unanimous", "split",
-                                    "adversarial"};
-  std::vector<std::string> net_profiles{"uniform", "pre-gst-starve",
-                                        "targeted-slow-links"};
   std::vector<std::pair<int, int>> sizes{{4, 1}, {7, 2}};
   std::vector<Time> gsts{0.0, 5.0, 30.0};
   std::vector<Time> deltas{1.0};
   std::vector<Value> domains{3};
-  /// Certificate backends. The per-vote default keeps the historical
-  /// search byte-identical; `valcon_search --cert-modes
-  /// per-vote,aggregate` widens the pool so forge-qc (inert per-vote) has
-  /// QCs to forge.
-  std::vector<core::CertMode> cert_modes{core::CertMode::kPerVote};
-  /// Topologies ("full-mesh" / "committee-<k>"). Widening the pool (e.g.
-  /// `valcon_search --topologies full-mesh,committee-4`) lets the search
-  /// attack the committee announce/relay layer; pair it with sizes large
-  /// enough for the committees, since a committee larger than n is an
-  /// error cell.
-  std::vector<std::string> topologies{"full-mesh"};
 
   /// Replaces the pool of one named axis with `names`, each first passed
   /// to the axis's check() (what valcon_search's filter flags call).

@@ -97,6 +97,12 @@ std::optional<Axis> axis_for_flag(const std::string& flag) {
   return std::nullopt;
 }
 
+PerAxis<std::string> axis_defaults() {
+  PerAxis<std::string> defaults;
+  for (const AxisInfo& info : kAxes) defaults[info.axis] = info.default_value;
+  return defaults;
+}
+
 std::string FaultSpec::label(int t) const {
   // Mirrors the clamp build() applies, so the label always names the number
   // of faults actually injected.
@@ -115,6 +121,9 @@ ScenarioMatrix::ScenarioMatrix() {
 
 ScenarioMatrix& ScenarioMatrix::declare(Axis axis,
                                         std::vector<std::string> values) {
+  if (axis == Axis::kStrategy) {
+    throw std::invalid_argument("the strategy axis is set through faults()");
+  }
   declared_[axis] =
       !(values.size() == 1 && values[0] == axis_info(axis).default_value);
   values_[axis] = std::move(values);
@@ -202,8 +211,8 @@ ScenarioMatrix& ScenarioMatrix::record_near_miss(bool enabled) {
   return *this;
 }
 ScenarioMatrix& ScenarioMatrix::horizon(Time cap) {
-  if (cap <= 0.0) {
-    throw std::invalid_argument("horizon must be positive");
+  if (!positive_finite(cap)) {
+    throw std::invalid_argument("horizon must be positive and finite");
   }
   horizon_ = cap;
   return *this;

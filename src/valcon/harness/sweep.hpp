@@ -66,6 +66,8 @@ struct AxisInfo {
 [[nodiscard]] const AxisInfo& axis_info(Axis axis);
 /// The axis whose filter flag is `flag`; nullopt for any other argument.
 [[nodiscard]] std::optional<Axis> axis_for_flag(const std::string& flag);
+/// Every axis's default_value.
+[[nodiscard]] PerAxis<std::string> axis_defaults();
 
 /// One fault pattern of the matrix: `count` processes (the highest ids)
 /// fail with the same registered adversary strategy. `count` is clamped to
@@ -132,6 +134,11 @@ class ScenarioMatrix {
   /// historical (p + seed) % domain assignment.
   ScenarioMatrix& patterns(std::vector<std::string> names);
   ScenarioMatrix& faults(std::vector<FaultSpec> v);
+  /// The one setter of the named axes other than strategy (which faults()
+  /// sets): stores `values` for `axis` and decides its wire gate. The
+  /// typed setters above and below call it. Throws std::invalid_argument
+  /// for the strategy axis.
+  ScenarioMatrix& declare(Axis axis, std::vector<std::string> values);
   /// Keeps only the values of `axis` named in `names`; on the strategy
   /// axis, the fault specs whose effective strategy is named ("none"
   /// selects the fault-free spec). Throws std::invalid_argument for an
@@ -168,7 +175,7 @@ class ScenarioMatrix {
   /// adversary search lowers it: a stalled stack re-arms view timers
   /// forever, so a non-terminating candidate would otherwise grind through
   /// events to 1e9 simulated time. Throws std::invalid_argument unless
-  /// positive.
+  /// positive and finite.
   ScenarioMatrix& horizon(Time cap);
 
   /// Number of cells the cross product will produce.
@@ -197,8 +204,6 @@ class ScenarioMatrix {
  private:
   /// Shared dimension validation for build()/point_at().
   void check_dimensions() const;
-  /// The named-axis setters: stores `values` and decides the wire gate.
-  ScenarioMatrix& declare(Axis axis, std::vector<std::string> values);
   std::vector<VcKind> vcs_{VcKind::kAuthenticated};
   std::vector<ValidityKind> validities_{ValidityKind::kStrong};
   std::vector<FaultSpec> faults_{FaultSpec{}};

@@ -60,7 +60,7 @@ TEST(CorpusReplay, CorpusCoversAllVerdictsAndTheColludingStrategies) {
   for (const auto& path : files) {
     const CorpusCell cell = parse_cell(slurp(path));
     verdicts.insert(verdict_token(cell.verdict));
-    strategies.insert(cell.candidate.strategy);
+    strategies.insert(cell.candidate.named[harness::Axis::kStrategy]);
   }
   EXPECT_TRUE(verdicts.count("termination"));
   EXPECT_TRUE(verdicts.count("agreement"));

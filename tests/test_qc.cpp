@@ -232,11 +232,11 @@ namespace {
 harness::Candidate qc_candidate(harness::VcKind vc, CertMode mode,
                                 const std::string& strategy) {
   harness::Candidate c;
-  c.strategy = strategy;
+  c.named[harness::Axis::kStrategy] = strategy;
   c.vc = vc;
   c.n = 4;
   c.t = 1;
-  c.cert = mode;
+  c.named[harness::Axis::kCertMode] = cert_mode_token(mode);
   c.seed = 2;
   return c;
 }
@@ -296,9 +296,9 @@ TEST(AggregateEndToEnd, DecidesTheSameValuesAsPerVote) {
        {harness::VcKind::kAuthenticated, harness::VcKind::kNonAuthenticated,
         harness::VcKind::kFast}) {
     auto per_vote = qc_candidate(vc, CertMode::kPerVote, "none");
-    per_vote.pattern = "unanimous";
+    per_vote.named[harness::Axis::kPattern] = "unanimous";
     auto agg = per_vote;
-    agg.cert = CertMode::kAggregate;
+    agg.named[harness::Axis::kCertMode] = "aggregate";
     const auto a = harness::evaluate(per_vote);
     const auto b = harness::evaluate(agg);
     EXPECT_EQ(harness::classify(a), harness::Verdict::kClean);

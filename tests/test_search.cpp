@@ -20,6 +20,7 @@
 #include "valcon/harness/validity_kind.hpp"
 
 using namespace valcon;
+using harness::Axis;
 using harness::Candidate;
 using harness::classify;
 using harness::CorpusCell;
@@ -124,13 +125,13 @@ TEST(CandidatePoint, ResolvesFaultsAndBoundsTheHorizon) {
   EXPECT_TRUE(point.near_miss);
 
   Candidate none = c;
-  none.strategy = "none";
+  none.named[Axis::kStrategy] = "none";
   EXPECT_TRUE(harness::candidate_point(none).config.faults.empty());
 }
 
 TEST(CandidatePoint, UnknownStrategySurfacesAsAnErrorVerdict) {
   Candidate c;
-  c.strategy = "no-such-strategy";
+  c.named[Axis::kStrategy] = "no-such-strategy";
   const SweepOutcome outcome = evaluate(c);
   EXPECT_FALSE(outcome.error.empty());
   EXPECT_EQ(classify(outcome), Verdict::kError);
@@ -198,10 +199,10 @@ TEST(Search, SoundSpaceStaysClean) {
 TEST(Search, FindsAndShrinksPlantedColludingEquivocation) {
   SearchOptions options = unsound_options(5);
   options.space.sizes = {{3, 1}};
-  options.space.strategies = {"collude-equivocate"};
+  options.space.named[Axis::kStrategy] = {"collude-equivocate"};
   options.space.vcs = {VcKind::kAuthenticated};
-  options.space.net_profiles = {"uniform"};
-  options.space.patterns = {"rotating"};
+  options.space.named[Axis::kNetProfile] = {"uniform"};
+  options.space.named[Axis::kPattern] = {"rotating"};
   options.jobs = 4;
   const SearchReport report = harness::run_search(options);
   ASSERT_FALSE(report.counterexamples.empty());
@@ -222,9 +223,9 @@ TEST(Search, FindsAndShrinksPlantedColludingEquivocation) {
 TEST(Search, FindsPlantedColludingWithholding) {
   SearchOptions options = unsound_options(5);
   options.space.sizes = {{3, 1}};
-  options.space.strategies = {"collude-withhold"};
+  options.space.named[Axis::kStrategy] = {"collude-withhold"};
   options.space.vcs = {VcKind::kAuthenticated};
-  options.space.net_profiles = {"uniform"};
+  options.space.named[Axis::kNetProfile] = {"uniform"};
   options.jobs = 4;
   const SearchReport report = harness::run_search(options);
   ASSERT_FALSE(report.counterexamples.empty());
@@ -238,7 +239,7 @@ TEST(Search, FindsPlantedColludingWithholding) {
 TEST(Shrink, IsIdempotent) {
   // The known agreement violation from the committed corpus.
   Candidate c;
-  c.strategy = "collude-equivocate";
+  c.named[Axis::kStrategy] = "collude-equivocate";
   c.n = 3;
   c.t = 1;
   c.gst = 30.0;
@@ -257,7 +258,7 @@ TEST(Shrink, MinimizesAxesAndRederivesTheSeed) {
   // A silent fault under the non-authenticated stack at n=3, t=1 stalls at
   // ANY gst and seed, so shrinking must drive both to their minima.
   Candidate c;
-  c.strategy = "silent";
+  c.named[Axis::kStrategy] = "silent";
   c.vc = VcKind::kNonAuthenticated;
   c.n = 3;
   c.t = 1;
@@ -277,7 +278,7 @@ TEST(Shrink, CanonicalizesTheFaultCount) {
   // A count that clamps to t names the same cell as -1; shrinking must
   // fold the two spellings together so dedup and file names agree.
   Candidate c;
-  c.strategy = "silent";
+  c.named[Axis::kStrategy] = "silent";
   c.vc = VcKind::kNonAuthenticated;
   c.n = 3;
   c.t = 1;
@@ -291,7 +292,7 @@ TEST(Shrink, CanonicalizesTheFaultCount) {
 
 TEST(CellFormat, RoundTripsThroughJsonAndFilename) {
   Candidate c;
-  c.strategy = "collude-withhold";
+  c.named[Axis::kStrategy] = "collude-withhold";
   c.vc = VcKind::kNonAuthenticated;
   c.n = 3;
   c.t = 1;
@@ -301,9 +302,9 @@ TEST(CellFormat, RoundTripsThroughJsonAndFilename) {
   // The gated axes off their defaults: each adds a file-name segment. (A
   // silent fault stalls this committee of all three processes.)
   Candidate gated = c;
-  gated.strategy = "silent";
-  gated.cert = core::CertMode::kAggregate;
-  gated.topology = "committee-3";
+  gated.named[Axis::kStrategy] = "silent";
+  gated.named[Axis::kCertMode] = "aggregate";
+  gated.named[Axis::kTopology] = "committee-3";
   for (const auto& [candidate, filename] :
        {std::pair{c, "termination-nonauth-collude-withhold-n3t1-s7.json"},
         std::pair{gated,
@@ -332,7 +333,7 @@ TEST(CellFormat, ParserIsStrict) {
                std::runtime_error);
   // A valid cell with one field removed must be rejected, not defaulted.
   Candidate c;
-  c.strategy = "silent";
+  c.named[Axis::kStrategy] = "silent";
   c.vc = VcKind::kNonAuthenticated;
   c.n = 3;
   c.t = 1;
@@ -366,17 +367,35 @@ TEST(CellFormat, IntegerFieldsAreReadExactly) {
   }
 }
 
+TEST(CellFormat, RejectsImpossibleSizesAndNonFiniteTimes) {
+  // Each parses as a number, but names no runnable cell: a NaN or infinite
+  // time never reaches the replay's horizon, and the rest would throw
+  // std::invalid_argument from candidate_point instead of the parser's
+  // error.
+  const std::string json = cell_text(Candidate{});  // n=4, t=1, domain 3
+  const std::pair<const char*, const char*> bad[] = {
+      {"delta", "nan"}, {"delta", "inf"}, {"delta", "0"}, {"gst", "nan"},
+      {"gst", "inf"},   {"gst", "-1"},    {"n", "0"},     {"t", "4"},
+      {"t", "5"},       {"domain", "1"},  {"domain", "0"}};
+  for (const auto& [key, value] : bad) {
+    EXPECT_THROW((void)harness::parse_cell(with_field(json, key, value)),
+                 std::runtime_error)
+        << key << ": " << value;
+  }
+  EXPECT_NO_THROW((void)harness::parse_cell(with_field(json, "t", "3")));
+}
+
 TEST(CellFormat, EscapedNamesRoundTrip) {
   // parse_cell looks up only the topology name, so none of these needs
   // registering.
   Candidate c;
-  c.strategy = "a\"b";
-  c.pattern = "back\\slash \"quoted\"";
-  c.net_profile = "ends in \\";
+  c.named[Axis::kStrategy] = "a\"b";
+  c.named[Axis::kPattern] = "back\\slash \"quoted\"";
+  c.named[Axis::kNetProfile] = "ends in \\";
   const Candidate back = harness::parse_cell(cell_text(c)).candidate;
-  EXPECT_EQ(back.strategy, c.strategy);
-  EXPECT_EQ(back.pattern, c.pattern);
-  EXPECT_EQ(back.net_profile, c.net_profile);
+  EXPECT_EQ(back.named[Axis::kStrategy], c.named[Axis::kStrategy]);
+  EXPECT_EQ(back.named[Axis::kPattern], c.named[Axis::kPattern]);
+  EXPECT_EQ(back.named[Axis::kNetProfile], c.named[Axis::kNetProfile]);
   EXPECT_TRUE(back == c);
 }
 
@@ -408,7 +427,7 @@ TEST(ExecutionReport, NoDecisionRunNeverArmsTheGraceCutoff) {
   // stack of its quorum, so no correct process ever decides — the grace
   // cutoff is never armed and the run grinds to the (bounded) horizon.
   Candidate c;
-  c.strategy = "silent";
+  c.named[Axis::kStrategy] = "silent";
   c.vc = VcKind::kNonAuthenticated;
   c.n = 3;
   c.t = 1;
@@ -428,7 +447,7 @@ TEST(ExecutionReport, GraceCutDiffersFromQuiescentDrain) {
   // Fault-free authenticated run: decides, then the queue drains on its
   // own, strictly before the armed cutoff.
   Candidate drained;
-  drained.strategy = "none";
+  drained.named[Axis::kStrategy] = "none";
   const SweepOutcome quiet = evaluate(drained);
   ASSERT_TRUE(quiet.error.empty());
   EXPECT_TRUE(quiet.decided);
@@ -440,7 +459,7 @@ TEST(ExecutionReport, GraceCutDiffersFromQuiescentDrain) {
   // residual chatter keeps the queue busy until the grace window cuts it —
   // a grace-cut, not a stall: the cutoff was armed.
   Candidate chatty;
-  chatty.strategy = "equivocate";
+  chatty.named[Axis::kStrategy] = "equivocate";
   chatty.vc = VcKind::kNonAuthenticated;
   const SweepOutcome cut = evaluate(chatty);
   ASSERT_TRUE(cut.error.empty());

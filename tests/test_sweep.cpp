@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -387,8 +388,9 @@ TEST(ScenarioMatrix, HorizonDefaultsUnboundedAndRejectsNonPositive) {
   EXPECT_EQ(matrix.point_at(0).config.horizon, ScenarioConfig{}.horizon);
   matrix.horizon(42.0);
   EXPECT_EQ(matrix.point_at(0).config.horizon, 42.0);
-  EXPECT_THROW(matrix.horizon(0.0), std::invalid_argument);
-  EXPECT_THROW(matrix.horizon(-1.0), std::invalid_argument);
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(matrix.horizon(bad), std::invalid_argument) << bad;
+  }
 }
 
 // ------------------------------------------------------------ validation
@@ -424,11 +426,31 @@ TEST(ScenarioValidation, RejectsMisconfiguredScenarios) {
   EXPECT_THROW(static_cast<void>(harness::run_universal(bad_t, lambda)),
                std::invalid_argument);
 
-  ScenarioConfig bad_delta;
-  bad_delta.proposals = {1, 1, 1, 1};
-  bad_delta.delta = 0.0;
-  EXPECT_THROW(static_cast<void>(harness::run_universal(bad_delta, lambda)),
-               std::invalid_argument);
+  // NaN fails every comparison and infinity passes `<= 0`: both must be
+  // rejected, not run until a horizon they make unreachable.
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    ScenarioConfig bad_delta;
+    bad_delta.proposals = {1, 1, 1, 1};
+    bad_delta.delta = bad;
+    EXPECT_THROW(static_cast<void>(harness::run_universal(bad_delta, lambda)),
+                 std::invalid_argument)
+        << "delta " << bad;
+    ScenarioConfig bad_horizon;
+    bad_horizon.proposals = {1, 1, 1, 1};
+    bad_horizon.horizon = bad;
+    EXPECT_THROW(
+        static_cast<void>(harness::run_universal(bad_horizon, lambda)),
+        std::invalid_argument)
+        << "horizon " << bad;
+  }
+  for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+    ScenarioConfig bad_gst;
+    bad_gst.proposals = {1, 1, 1, 1};
+    bad_gst.gst = bad;
+    EXPECT_THROW(static_cast<void>(harness::run_universal(bad_gst, lambda)),
+                 std::invalid_argument)
+        << "gst " << bad;
+  }
 
   ScenarioConfig negative_crash;
   negative_crash.proposals = {1, 1, 1, 1};

@@ -649,6 +649,43 @@ TEST_P(AxisContract, CheckRejectsUnknownNames) {
                std::invalid_argument);
 }
 
+TEST_P(AxisContract, SearchCellsCarryTheAxis) {
+  const AxisInfo& info = axis_info(GetParam());
+  std::vector<std::string> others;
+  for (const std::string& value : case_for(info.axis).keep) {
+    if (value != info.default_value) others.push_back(value);
+  }
+  ASSERT_FALSE(others.empty());
+  // A candidate carrying each non-default value round-trips through the
+  // corpus format and has a key of its own.
+  for (const std::string& value : others) {
+    Counterexample cx;
+    cx.candidate.named[info.axis] = value;
+    EXPECT_TRUE(parse_cell(cell_json(cx)).candidate == cx.candidate) << value;
+    EXPECT_NE(cx.candidate.key(), Candidate{}.key()) << value;
+  }
+  // A one-value pool puts its value on every candidate the search draws.
+  // Unshrunk, the report's cells are drawn candidates as found.
+  SearchOptions options;
+  options.space.sizes = {{4, 2}};
+  options.space.set_pool(info.axis, {others.front()});
+  options.budget = 32;
+  options.population = 8;
+  options.shrink = false;
+  const SearchReport report = run_search(options);
+  std::vector<Candidate> drawn;
+  for (const Counterexample& cx : report.counterexamples) {
+    drawn.push_back(cx.candidate);
+  }
+  if (report.best_candidate.has_value()) {
+    drawn.push_back(*report.best_candidate);
+  }
+  ASSERT_FALSE(drawn.empty());
+  for (const Candidate& c : drawn) {
+    EXPECT_EQ(c.named[info.axis], others.front()) << c.key();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Axes, AxisContract,
     ::testing::Values(Axis::kStrategy, Axis::kPattern, Axis::kNetProfile,
