@@ -484,17 +484,17 @@ constexpr ShrinkStep kShrinkOrder[] = {
     // not about the QC layer or the announce/relay layer at all.
     reset_named<Axis::kCertMode>,
     reset_named<Axis::kTopology>,
+    // Seed re-derivation, last in each pass: the smallest seed in
+    // [1, seed_tries] that still reproduces replaces the found one. At a
+    // smaller seed an axis that failed before can simplify, so a pass that
+    // accepts one runs again.
+    [](const Candidate& c, const SearchOptions& options) {
+      std::vector<std::uint64_t> seeds(
+          static_cast<std::size_t>(std::max(options.seed_tries, 0)));
+      std::iota(seeds.begin(), seeds.end(), std::uint64_t{1});
+      return lower(c, &Candidate::seed, seeds);
+    },
 };
-
-/// Seed re-derivation: `c` at each seed in [1, seed_tries] below its own,
-/// ascending.
-std::vector<Candidate> smaller_seeds(const Candidate& c,
-                                     const SearchOptions& options) {
-  std::vector<std::uint64_t> seeds(
-      static_cast<std::size_t>(std::max(options.seed_tries, 0)));
-  std::iota(seeds.begin(), seeds.end(), std::uint64_t{1});
-  return lower(c, &Candidate::seed, seeds);
-}
 
 }  // namespace
 
@@ -525,7 +525,8 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
     }
     return false;
   };
-  // The shrink order's passes, to a fixpoint.
+  // The shrink order's passes, to a fixpoint: shrinking a shrunk cell
+  // changes nothing.
   bool changed = true;
   while (changed && probes < options.max_shrink_probes) {
     changed = false;
@@ -533,10 +534,6 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
       if (simplify(step)) changed = true;
     }
   }
-  // Then the smallest reproducing seed replaces the found one. Ascending
-  // order + first-accept: once replaced, no smaller reproducing seed
-  // exists.
-  simplify(smaller_seeds);
 
   Counterexample cx;
   cx.candidate = cur;
