@@ -191,7 +191,6 @@ struct ScenarioConfig {
 struct RunResult {
   std::map<ProcessId, Value> decisions;          // correct processes only
   std::map<ProcessId, Time> decide_times;
-  std::map<ProcessId, core::InputConfig> vectors;  // decided vectors
   std::uint64_t message_complexity = 0;   // msgs by correct senders >= GST
   std::uint64_t word_complexity = 0;      // words by correct senders >= GST
   std::uint64_t messages_total = 0;

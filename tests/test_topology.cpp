@@ -30,10 +30,9 @@ using namespace valcon::harness;
 namespace {
 
 // --------------------------------------------------------- lazy hold table
-// (The suite keeps its name from when the table had a dense and a sparse
-// backend; test_hot_path checks the one table against a reference.)
+// (test_hot_path checks the table against a reference, and its id range.)
 
-TEST(HybridNetwork, LinkTablesAllocateLazily) {
+TEST(LazyHoldTable, LinkTablesAllocateLazily) {
   sim::NetworkConfig cfg;
   sim::Network net(cfg, 50, 3);
   EXPECT_EQ(net.link_table_bytes(), 0u);
@@ -46,7 +45,7 @@ TEST(HybridNetwork, LinkTablesAllocateLazily) {
   EXPECT_GT(net.link_table_bytes(), 0u);
 }
 
-TEST(HybridNetwork, SparseMemoryIsProportionalToActiveLinks) {
+TEST(LazyHoldTable, MemoryIsProportionalToActiveLinks) {
   sim::NetworkConfig cfg;
   sim::Network net(cfg, 100000, 1);
   net.hold(0, 99999, 2.0);
@@ -54,13 +53,6 @@ TEST(HybridNetwork, SparseMemoryIsProportionalToActiveLinks) {
   // Two active links on a 10^10-link id space: far below what even one
   // dense row would cost.
   EXPECT_LT(net.link_table_bytes(), 4096u);
-}
-
-TEST(HybridNetwork, MutationValidatesIdsInBothBackends) {
-  sim::NetworkConfig cfg;
-  sim::Network net(cfg, 4, 1);
-  EXPECT_THROW(net.hold(0, 4, 1.0), std::out_of_range);
-  EXPECT_THROW(net.hold(-1, 0, 1.0), std::out_of_range);
 }
 
 // ------------------------------------------------------- lazy key registry
