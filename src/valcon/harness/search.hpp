@@ -4,10 +4,10 @@
 // attack; the search below *mines* for violations instead: it mutates over
 // the same axes the sweep matrix exposes — adversary strategy (including
 // the colluding multi-process strategies), proposal pattern, network
-// profile, protocol stack, system size, timing and seed — scores
-// non-violating candidates by how close they came to a violation (the
-// near-miss fields on RunResult), and shrinks every violation it finds to
-// a minimal replayable (config, seed) cell.
+// profile, cert mode, topology, protocol stack, system size, timing and
+// seed — scores non-violating candidates by how close they came to a
+// violation (the near-miss fields on RunResult), and shrinks every
+// violation it finds to a minimal replayable (config, seed) cell.
 //
 // Determinism contract: a search is a pure function of (SearchOptions,
 // search_seed). Candidate evaluation fans out through SweepRunner, whose
@@ -16,11 +16,18 @@
 // SearchReport — byte for byte, via report_json() — is identical whatever
 // --jobs is.
 //
+// A cell's identity is declared once, in search.cpp: its fields in
+// corpus-JSON order (the cell writer, parse_cell, key() and the file name
+// derive from that list), the draw order sampling and mutation share, and
+// the shrink order.
+//
 // Shrinking is axis-wise minimization run to a fixpoint (so it is
-// idempotent: shrinking a shrunk cell changes nothing), followed by seed
-// re-derivation (the smallest seed in [1, seed_tries] that still
-// reproduces the verdict replaces the found seed). Shrunk cells serialize
-// as "valcon-counterexample-v1" JSON; the committed corpus under
+// idempotent: shrinking a shrunk cell changes nothing). The last step of
+// each pass re-derives the seed (the smallest seed in [1, seed_tries]
+// that still reproduces the verdict replaces the found seed), and a pass
+// that accepts a smaller seed runs again, since an axis that failed at
+// the old seed may simplify at the new one. Shrunk cells serialize as
+// "valcon-counterexample-v1" JSON; the committed corpus under
 // tests/corpus/ is replayed by the test_corpus_replay target through the
 // exact same candidate_point() -> run_point() path.
 #pragma once
@@ -200,10 +207,10 @@ struct SearchReport {
 /// budget/population.
 [[nodiscard]] SearchReport run_search(const SearchOptions& options);
 
-/// Axis-wise minimization of a violating candidate to a fixpoint, then
-/// seed re-derivation. Returns the counterexample with the shrunk cell
-/// re-evaluated. `probes` (optional) receives the number of evaluations
-/// spent. Precondition: classify(evaluate(c)) == verdict.
+/// Axis-wise minimization of a violating candidate to a fixpoint, seed
+/// re-derivation included. Returns the counterexample with the shrunk cell
+/// re-evaluated and the probes spent. Precondition:
+/// classify(evaluate(c)) == verdict.
 [[nodiscard]] Counterexample shrink(const Candidate& c, Verdict verdict,
                                     const SearchOptions& options);
 

@@ -1,8 +1,8 @@
-// valcon_search — seeded adversary search: mutates over adversary
-// strategy, proposal pattern, network profile and the ScenarioConfig
-// parameters, scores candidates by how close they came to a violation
-// (the near-miss fields on RunResult), and shrinks every violation to a
-// minimal replayable (config, seed) cell.
+// valcon_search — seeded adversary search: mutates over the five named
+// axes (strategy, pattern, network profile, cert mode, topology) and the
+// ScenarioConfig parameters, scores candidates by how close they came to
+// a violation (the near-miss fields on RunResult), and shrinks every
+// violation to a minimal replayable (config, seed) cell.
 //
 //   valcon_search [--search-seed N] [--budget N] [--population N]
 //                 [--jobs N] [--sizes n/t,n/t,...] [--strategies a,b,...]
@@ -16,7 +16,9 @@
 //
 // The named-axis flags (--strategies through --topologies, one per entry
 // of harness/sweep.hpp's axis table) replace that axis's pool; an unknown
-// name exits 2 with the list of known ones.
+// name exits 2 with the list of known ones. The typed pool flags (--sizes,
+// --vcs, --validities, --gsts, --deltas, --domains) replace theirs too,
+// and exit 2 on a value they reject: GSTs and deltas must be finite.
 //
 // The default space is the SOUND regime (n > 3t), where any violation is
 // a bug — that is what the CI smoke run asserts (exit 0, empty
