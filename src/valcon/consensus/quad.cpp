@@ -159,6 +159,15 @@ bool Quad::valid_commit_qc(sim::Context& ctx, const QuorumCert& qc) const {
 
 // ------------------------------------------------------------ lifecycle
 
+namespace {
+
+// View duration, in multiples of delta.
+constexpr double kViewDurationDeltas = 10.0;
+// Leader's view-change collection window, in multiples of delta.
+constexpr double kProposeDelayDeltas = 2.0;
+
+}  // namespace
+
 void Quad::on_start(sim::Context& ctx) {
   started_ = true;
   enter_view(ctx, 0);
@@ -182,11 +191,11 @@ void Quad::enter_view(sim::Context& ctx, std::int64_t view) {
   if (leader_of(view, n) == ctx.id()) {
     // Collection window before proposing (2*delta: after GST this gathers
     // the view-changes of every correct process — no hidden locks).
-    ctx.set_timer(options_.propose_delay_deltas * ctx.delta(),
+    ctx.set_timer(kProposeDelayDeltas * ctx.delta(),
                   static_cast<std::uint64_t>(view) * 4 + 1);
   }
   // View timer: advance (or close the epoch) when it expires.
-  ctx.set_timer(options_.view_duration_deltas * ctx.delta(),
+  ctx.set_timer(kViewDurationDeltas * ctx.delta(),
                 static_cast<std::uint64_t>(view) * 4 + 2);
 
   // Re-process any buffered leader-side/replica-side state for this view.

@@ -76,12 +76,9 @@ struct QuorumCert {
   crypto::AggregateSignature agg;
 };
 
-/// Tunable knobs for Quad (ablations in bench E5).
+/// Quad's settings: the decide-echo ablation (bench E5) and the
+/// certificate backend. The view timers are constants in quad.cpp.
 struct QuadOptions {
-  /// View duration, in multiples of delta.
-  double view_duration_deltas = 10.0;
-  /// Leader's view-change collection window, in multiples of delta.
-  double propose_delay_deltas = 2.0;
   /// Echo DECIDE to all once upon deciding (totality under leader crash).
   bool decide_echo = true;
   /// Certificate backend. In aggregate mode the leader skips per-vote

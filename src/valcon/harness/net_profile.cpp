@@ -1,6 +1,7 @@
 #include "valcon/harness/net_profile.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -12,6 +13,14 @@ namespace {
 /// model bound max(send, GST) + delta, which is the point — "as late as
 /// the model allows" without the profile re-deriving the bound.
 constexpr Time kModelBound = std::numeric_limits<Time>::max();
+
+/// kSlowTarget: the process whose links crawl.
+constexpr ProcessId kSlowProcess = 0;
+/// kSampledOverlay: the overlay sampling seed and the per-mille
+/// probability that a given undirected link is kept fast (self-links
+/// always are).
+constexpr std::uint64_t kOverlaySeed = 1;
+constexpr std::uint64_t kOverlayKeepPermille = 500;
 
 /// splitmix64 finalizer: the overlay membership hash. Statistically flat,
 /// pure, and cheap enough to evaluate per delivery (the policy is called
@@ -36,54 +45,27 @@ sim::Network::DelayPolicy NetworkProfile::make_delay_policy(Time gst) const {
         if (send_time < gst) return kModelBound;
         return std::nullopt;
       };
-    case Policy::kSlowTarget: {
-      const ProcessId slow = target;
-      return [slow](ProcessId from, ProcessId to,
-                    Time /*send_time*/) -> std::optional<Time> {
-        if (from == slow || to == slow) return kModelBound;
+    case Policy::kSlowTarget:
+      return [](ProcessId from, ProcessId to,
+                Time /*send_time*/) -> std::optional<Time> {
+        if (from == kSlowProcess || to == kSlowProcess) return kModelBound;
         return std::nullopt;
       };
-    }
-    case Policy::kSampledOverlay: {
-      const std::uint64_t seed = overlay_seed;
-      const auto keep = static_cast<std::uint64_t>(overlay_keep_permille);
-      return [seed, keep](ProcessId from, ProcessId to,
-                          Time /*send_time*/) -> std::optional<Time> {
+    case Policy::kSampledOverlay:
+      return [](ProcessId from, ProcessId to,
+                Time /*send_time*/) -> std::optional<Time> {
         if (from == to) return std::nullopt;  // self-links stay fast
         // Undirected membership: hash the sorted endpoint pair, so both
         // directions of a link agree on overlay membership.
         const auto lo = static_cast<std::uint64_t>(std::min(from, to));
         const auto hi = static_cast<std::uint64_t>(std::max(from, to));
         const std::uint64_t h =
-            mix64(seed ^ (lo * 0x9e3779b97f4a7c15ULL) ^ mix64(hi));
-        if (h % 1000 < keep) return std::nullopt;
+            mix64(kOverlaySeed ^ (lo * 0x9e3779b97f4a7c15ULL) ^ mix64(hi));
+        if (h % 1000 < kOverlayKeepPermille) return std::nullopt;
         return kModelBound;
       };
-    }
   }
   return {};
-}
-
-void NetworkProfile::validate(int n) const {
-  const auto fail = [this](const std::string& what) {
-    throw std::invalid_argument("NetworkProfile '" + name + "': " + what);
-  };
-  if (name.empty()) {
-    throw std::invalid_argument("NetworkProfile: empty profile name");
-  }
-  // 0 is never a meaningful override (a zero pre-GST cap or min delay
-  // breaks event ordering); "keep the default" is spelled < 0.
-  if (pre_gst_cap == 0) fail("pre_gst_cap must be > 0 (< 0 for the default)");
-  if (min_delay == 0) fail("min_delay must be > 0 (< 0 for the default)");
-  if (policy == Policy::kSlowTarget && (target < 0 || target >= n)) {
-    fail("target " + std::to_string(target) + " outside [0, " +
-         std::to_string(n) + ")");
-  }
-  if (policy == Policy::kSampledOverlay &&
-      (overlay_keep_permille < 1 || overlay_keep_permille > 1000)) {
-    fail("overlay_keep_permille " + std::to_string(overlay_keep_permille) +
-         " outside [1, 1000]");
-  }
 }
 
 NetworkProfile named_network_profile(const std::string& name) {
@@ -98,7 +80,6 @@ NetworkProfile named_network_profile(const std::string& name) {
     NetworkProfile profile;
     profile.name = name;
     profile.policy = NetworkProfile::Policy::kSlowTarget;
-    profile.target = 0;
     return profile;
   }
   if (name == "sampled-overlay") {

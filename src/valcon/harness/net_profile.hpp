@@ -2,13 +2,12 @@
 //
 // The partially synchronous model gives the adversary real scheduling
 // power — anything up to max(send, GST) + delta — and Dolev-Reischuk-style
-// lower-bound arguments are driven by exactly that power. Yet every
-// scenario used to run one fixed network: stock NetworkConfig knobs and no
-// delay policy. A NetworkProfile packages the adversary-controlled knobs
-// (pre-GST delay cap, minimum latency) plus an optional deterministic
-// per-link DelayPolicy; run_universal applies it to the simulator's
-// Network via set_delay_policy, and the sweep matrix enumerates profiles
-// as a first-class dimension.
+// lower-bound arguments are driven by exactly that power. A NetworkProfile
+// names one deterministic per-link DelayPolicy (or none, the stock
+// network); run_universal installs it on the simulator's Network via
+// set_delay_policy, and the sweep matrix enumerates profiles as a
+// first-class dimension. The network itself has only the model's two
+// parameters, GST and delta (sim::NetworkConfig).
 //
 // Profiles are deterministic: a policy computes arrival times from
 // (from, to, send_time) alone, and the network clamps whatever it returns
@@ -16,7 +15,6 @@
 // exhaust it.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,59 +26,40 @@ namespace valcon::harness {
 /// One network adversary profile. Named built-ins
 /// (named_network_profile()):
 ///
-///   "uniform"             — the legacy default: stock knobs, no policy;
-///                           delays are drawn uniformly from the model's
-///                           allowed window
+///   "uniform"             — the stock network, no policy: delays are
+///                           drawn uniformly from the model's allowed
+///                           window (pre-GST delays capped at
+///                           sim::Network::kPreGstCap)
 ///   "pre-gst-starve"      — every message sent before GST arrives exactly
 ///                           at the model bound max(send, GST) + delta:
 ///                           the pre-GST scheduler is maximally hostile
-///                           (the default uniform network caps pre-GST
-///                           delays at a friendly default_pre_gst_cap)
-///   "targeted-slow-links" — every link touching process `target` (id 0)
-///                           is delivered at the model bound; the rest of
-///                           the network is untouched — a targeted
-///                           slowdown of one participant
+///   "targeted-slow-links" — every link touching process 0 is delivered at
+///                           the model bound; the rest of the network is
+///                           untouched — a targeted slowdown of one
+///                           participant
 ///   "sampled-overlay"     — a seeded sparse overlay: each undirected link
-///                           is kept fast with probability
-///                           overlay_keep_permille/1000 (a pure hash of
-///                           (overlay_seed, endpoints) — deterministic and
-///                           symmetric, both directions agree); every
-///                           non-overlay link is delivered at the model
-///                           bound. The large-n regime where only a
-///                           sampled subgraph is fast while the mesh
-///                           itself stays within partial synchrony
+///                           is kept fast with probability 1/2 (a pure
+///                           hash of a fixed seed and the endpoints —
+///                           deterministic and symmetric, both directions
+///                           agree); every non-overlay link is delivered
+///                           at the model bound. The large-n regime where
+///                           only a sampled subgraph is fast while the
+///                           mesh itself stays within partial synchrony
 struct NetworkProfile {
   enum class Policy {
     kNone,            // no per-link policy
     kStarvePreGst,    // pre-GST sends arrive at the model bound
-    kSlowTarget,      // links touching `target` arrive at the model bound
+    kSlowTarget,      // links touching process 0 arrive at the model bound
     kSampledOverlay,  // links outside a seeded sampled overlay crawl
   };
 
   std::string name = "uniform";
-  /// Cap on adversarial pre-GST delays; < 0 keeps NetworkConfig's default.
-  Time pre_gst_cap = -1.0;
-  /// Minimum network latency; < 0 keeps NetworkConfig's default.
-  Time min_delay = -1.0;
   Policy policy = Policy::kNone;
-  /// kSlowTarget only: the process whose links crawl.
-  ProcessId target = 0;
-  /// kSampledOverlay only: the overlay sampling seed and the per-mille
-  /// probability a given undirected link is kept fast (self-links always
-  /// are).
-  std::uint64_t overlay_seed = 1;
-  int overlay_keep_permille = 500;
 
   /// The per-link policy for this profile, or an empty function for
   /// kNone. Arrival times it returns are clamped by the network to
-  /// [send + min_delay, max(send, GST) + delta].
+  /// [send + Network::kMinDelay, max(send, GST) + delta].
   [[nodiscard]] sim::Network::DelayPolicy make_delay_policy(Time gst) const;
-
-  /// Throws std::invalid_argument for malformed fields: empty name,
-  /// zero/negative overrides (use < 0 for "keep the default"), a
-  /// kSlowTarget target outside [0, n), or a kSampledOverlay keep
-  /// probability outside (0, 1000].
-  void validate(int n) const;
 };
 
 /// The named built-in profiles documented above. Throws

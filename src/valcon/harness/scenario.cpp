@@ -125,16 +125,6 @@ void validate(const ScenarioConfig& cfg) {
   if (!positive_finite(cfg.grace_multiplier)) {
     fail("grace_multiplier must be positive and finite");
   }
-  cfg.net_profile.validate(cfg.n);
-  // The profile cannot see delta on its own, so the relative constraint
-  // lives here: a minimum latency above delta inverts the post-GST
-  // sampling window and the model bound would silently override the
-  // requested minimum.
-  if (cfg.net_profile.min_delay > cfg.delta) {
-    fail("net_profile '" + cfg.net_profile.name + "' min_delay " +
-         std::to_string(cfg.net_profile.min_delay) + " exceeds delta " +
-         std::to_string(cfg.delta));
-  }
   cfg.topology.validate(cfg.n);
 }
 
@@ -149,12 +139,6 @@ RunResult run_universal(const ScenarioConfig& cfg,
   sim_cfg.net.gst = cfg.gst;
   sim_cfg.net.delta = cfg.delta;
   sim_cfg.keys = shared_key_registry(cfg.n, cfg.n - cfg.t, cfg.seed);
-  if (cfg.net_profile.pre_gst_cap >= 0) {
-    sim_cfg.net.default_pre_gst_cap = cfg.net_profile.pre_gst_cap;
-  }
-  if (cfg.net_profile.min_delay >= 0) {
-    sim_cfg.net.min_delay = cfg.net_profile.min_delay;
-  }
   sim::Simulator simulator(sim_cfg);
   // The profile's per-link policy goes in before any process is installed,
   // so even start-time sends see the adversarial schedule.
@@ -273,7 +257,6 @@ RunResult run_universal(const ScenarioConfig& cfg,
   result->message_complexity = simulator.metrics().message_complexity();
   result->word_complexity = simulator.metrics().communication_complexity();
   result->messages_total = simulator.metrics().messages_total();
-  result->by_type = simulator.metrics().by_type();
   result->min_vote_margin = simulator.metrics().near_miss().min_vote_margin;
   result->conflicting_votes = simulator.metrics().near_miss().conflicting_votes;
   // Crashed processes may have "decided" before crashing; they are faulty,

@@ -164,9 +164,9 @@ struct ScenarioConfig {
   std::map<ProcessId, Fault> faults;
   /// Simulated-time horizon (safety net against livelock).
   Time horizon = 1e9;
-  /// The network adversary: NetworkConfig knobs (pre-GST cap, min delay)
-  /// plus an optional per-link delay policy, applied by run_universal via
-  /// Network::set_delay_policy. See harness/net_profile.hpp.
+  /// The network adversary: an optional per-link delay policy, applied by
+  /// run_universal via Network::set_delay_policy. See
+  /// harness/net_profile.hpp.
   NetworkProfile net_profile;
   /// Early-stop grace window: once every correct process has decided, the
   /// run is cut grace_multiplier * delta after the last correct decision
@@ -194,11 +194,6 @@ struct RunResult {
   std::uint64_t message_complexity = 0;   // msgs by correct senders >= GST
   std::uint64_t word_complexity = 0;      // words by correct senders >= GST
   std::uint64_t messages_total = 0;
-  /// Post-GST correct-sender messages per payload type (the materialized
-  /// view of the simulator's interned-id counters); the values sum to
-  /// message_complexity. Diagnostic only — not part of the sweep wire
-  /// format.
-  std::map<std::string, std::uint64_t> by_type;
   std::uint64_t events = 0;
   Time last_decision_time = 0.0;
   /// True when the event queue drained on its own; false when the run was
@@ -268,9 +263,8 @@ struct RunResult {
 /// 0 <= t < n, one proposal per process, at most t faults, every fault id
 /// in [0, n), every fault strategy registered (with valid parameters, per
 /// the strategy's own validate hook), delta, horizon and grace_multiplier
-/// positive and finite, gst finite and >= 0, a well-formed net_profile
-/// (its own validate) and a well-formed topology (its own validate,
-/// against n).
+/// positive and finite, gst finite and >= 0, and a well-formed topology
+/// (its own validate, against n).
 void validate(const ScenarioConfig& cfg);
 
 /// Runs Universal end to end with the given Λ. Validates cfg first (see

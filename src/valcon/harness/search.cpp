@@ -399,6 +399,9 @@ void check_options(const SearchOptions& options) {
 
 // ---------------------------------------------------------------- shrinking
 
+/// Upper bound on shrink probes per counterexample.
+constexpr int kMaxShrinkProbes = 256;
+
 /// One shrink step: the variants of a candidate it offers, simplest first,
 /// each strictly simpler than the candidate.
 using ShrinkStep = std::vector<Candidate> (*)(const Candidate& c,
@@ -501,8 +504,8 @@ constexpr ShrinkStep kShrinkOrder[] = {
 Counterexample shrink(const Candidate& c, Verdict verdict,
                       const SearchOptions& options) {
   int probes = 0;
-  const auto reproduces = [&probes, &options, verdict](const Candidate& cand) {
-    if (probes >= options.max_shrink_probes) return false;
+  const auto reproduces = [&probes, verdict](const Candidate& cand) {
+    if (probes >= kMaxShrinkProbes) return false;
     ++probes;
     return classify(evaluate(cand)) == verdict;
   };
@@ -528,7 +531,7 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
   // The shrink order's passes, to a fixpoint: shrinking a shrunk cell
   // changes nothing.
   bool changed = true;
-  while (changed && probes < options.max_shrink_probes) {
+  while (changed && probes < kMaxShrinkProbes) {
     changed = false;
     for (const ShrinkStep step : kShrinkOrder) {
       if (simplify(step)) changed = true;

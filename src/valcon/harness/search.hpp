@@ -164,14 +164,12 @@ struct SearchOptions {
   SearchSpace space;
   std::uint64_t search_seed = 1;
   /// Total candidate evaluations the generational loop may spend (shrink
-  /// probes are budgeted separately, see max_shrink_probes).
+  /// probes are budgeted separately, see shrink()).
   int budget = 256;
   /// Candidates evaluated per generation.
   int population = 16;
   int jobs = 1;
   bool shrink = true;
-  /// Upper bound on shrink probes per counterexample.
-  int max_shrink_probes = 256;
   /// Seed re-derivation tries the smallest reproducing seed in
   /// [1, seed_tries].
   int seed_tries = 16;
@@ -208,8 +206,9 @@ struct SearchReport {
 [[nodiscard]] SearchReport run_search(const SearchOptions& options);
 
 /// Axis-wise minimization of a violating candidate to a fixpoint, seed
-/// re-derivation included. Returns the counterexample with the shrunk cell
-/// re-evaluated and the probes spent. Precondition:
+/// re-derivation included, in at most 256 probes. Returns the
+/// counterexample with the shrunk cell re-evaluated and the probes spent.
+/// Precondition:
 /// classify(evaluate(c)) == verdict.
 [[nodiscard]] Counterexample shrink(const Candidate& c, Verdict verdict,
                                     const SearchOptions& options);

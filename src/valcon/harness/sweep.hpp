@@ -71,19 +71,14 @@ struct AxisInfo {
 
 /// One fault pattern of the matrix: `count` processes (the highest ids)
 /// fail with the same registered adversary strategy. `count` is clamped to
-/// each scenario's t, so one spec can cross several (n, t) sizes. Negative
-/// fields resolve per-scenario: count < 0 -> t, crash_time < 0 -> gst,
-/// release_time < 0 -> gst + delta, equivocal_value < 0 -> own proposal + 1
-/// (mod proposal domain), mutate_rate / switch_time / victims / observe
-/// < 0 -> the Fault defaults (see harness/scenario.hpp).
+/// each scenario's t, so one spec can cross several (n, t) sizes; count
+/// < 0 means t. Each fault's crash_time is the GST and its
+/// equivocal_value its own proposal + 1 (mod the proposal domain);
+/// victims / observe < 0 and every other parameter keep the Fault
+/// defaults (see harness/scenario.hpp).
 struct FaultSpec {
   std::string strategy = axis_info(Axis::kStrategy).default_value;
   int count = -1;
-  Time crash_time = -1.0;
-  Time release_time = -1.0;
-  Value equivocal_value = -1;
-  double mutate_rate = -1.0;
-  Time switch_time = -1.0;
   int victims = -1;
   int observe = -1;
 
@@ -235,10 +230,6 @@ struct SweepOutcome {
   bool agreement = true;     // = report.agreement
   bool validity_ok = true;   // = report.validity
   std::string error;         // exception text if the run threw
-  /// Wall-clock time run_point spent on this cell, in microseconds. NOT
-  /// deterministic — excluded from the sweep wire format; surfaces only in
-  /// valcon_sweep's --timing stream.
-  double wall_micros = 0.0;
 };
 
 /// Runs a single cell (what the pool workers execute).

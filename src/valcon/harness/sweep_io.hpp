@@ -75,20 +75,27 @@ namespace detail {
     const std::string& text, const std::string& key);
 }  // namespace detail
 
-/// The integer following `"key": `, read exactly: an optional '-' (signed
-/// T only) and decimal digits, ending at the field's delimiter, whose
-/// value fits T. No double is involved, so 2^64 - 1 reads back exactly
-/// and 1e300, inf, nan, 3.7 and out-of-range values are malformed.
+/// The whole of `s` as an integer, read exactly: an optional '-' (signed
+/// T only) and decimal digits, whose value fits T. No double is involved,
+/// so 2^64 - 1 reads back exactly and 1e300, inf, nan, 3.7, "+1" and
+/// out-of-range values are malformed.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_integer(std::string_view s) {
+  const char* last = s.data() + s.size();
+  T value{};
+  const auto [end, error] = std::from_chars(s.data(), last, value);
+  if (error != std::errc{} || end != last) return std::nullopt;
+  return value;
+}
+
+/// The integer following `"key": ` up to the field's delimiter, read by
+/// parse_integer.
 template <typename T>
 [[nodiscard]] std::optional<T> integer_field(const std::string& text,
                                              const std::string& key) {
   const auto token = detail::field_token(text, key);
   if (!token.has_value()) return std::nullopt;
-  const char* last = token->data() + token->size();
-  T value{};
-  const auto [end, error] = std::from_chars(token->data(), last, value);
-  if (error != std::errc{} || end != last) return std::nullopt;
-  return value;
+  return parse_integer<T>(*token);
 }
 
 // ----------------------------------------------------------------- shards

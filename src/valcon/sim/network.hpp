@@ -33,19 +33,21 @@
 
 namespace valcon::sim {
 
+/// The model's two network parameters.
 struct NetworkConfig {
   Time gst = 0.0;
   Time delta = 1.0;
-  /// Minimum network latency (> 0 keeps event ordering sane).
-  Time min_delay = 1e-3;
-  /// Default cap on adversarial pre-GST delays when no hold is installed.
-  /// The model allows anything up to (GST - s) + delta; experiments that
-  /// need long pre-GST delays install holds explicitly.
-  Time default_pre_gst_cap = 3.0;
 };
 
 class Network {
  public:
+  /// Minimum network latency (> 0 keeps event ordering sane).
+  static constexpr Time kMinDelay = 1e-3;
+  /// Cap on pre-GST delays when no hold or policy says otherwise. The
+  /// model allows anything up to (GST - s) + delta; experiments that need
+  /// long pre-GST delays install holds or a delay policy.
+  static constexpr Time kPreGstCap = 3.0;
+
   /// `n` fixes the process-id space [0, n) the per-link table covers.
   Network(NetworkConfig config, int n, std::uint64_t seed)
       : config_(config), n_(n), rng_(seed) {}
@@ -81,7 +83,7 @@ class Network {
   /// be in [0, n) — Simulator::do_send guarantees this.
   [[nodiscard]] Time arrival_time(ProcessId from, ProcessId to,
                                   Time send_time) {
-    const Time lower = send_time + config_.min_delay;
+    const Time lower = send_time + kMinDelay;
     const Time upper = model_bound(send_time);
 
     Time arrival;
@@ -90,13 +92,14 @@ class Network {
     if (custom.has_value()) {
       arrival = *custom;
     } else if (send_time >= config_.gst) {
-      arrival = send_time + rng_.uniform(config_.min_delay, config_.delta);
+      arrival = send_time + rng_.uniform(kMinDelay, config_.delta);
     } else {
-      // The cap is clamped to `lower` so a pre-GST cap smaller than the
-      // minimum latency (an adversary profile starving the window shut)
-      // degrades to prompt delivery instead of an inverted uniform range.
-      const Time cap = std::max(
-          lower, std::min(upper, send_time + config_.default_pre_gst_cap));
+      // The cap is clamped to `lower`: when delta is below kMinDelay, a
+      // send just before GST has its model bound inside the minimum
+      // latency, and degrades to prompt delivery instead of an inverted
+      // uniform range.
+      const Time cap =
+          std::max(lower, std::min(upper, send_time + kPreGstCap));
       arrival = rng_.uniform(lower, cap);
     }
     if (!holds_.empty()) {

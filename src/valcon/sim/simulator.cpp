@@ -59,10 +59,6 @@ Simulator::~Simulator() = default;
 
 namespace {
 
-int resolved_threshold(const SimConfig& config) {
-  return config.threshold_k > 0 ? config.threshold_k : config.n - config.t;
-}
-
 // Runs before any other member is constructed (config_ is the first member),
 // so an invalid configuration never reaches KeyRegistry & co. Every later
 // member initializer reads config_, never the constructor argument.
@@ -73,7 +69,7 @@ SimConfig validated(SimConfig config) {
                                 " t=" + std::to_string(config.t));
   }
   if (config.keys != nullptr) {
-    const int k = resolved_threshold(config);
+    const int k = config.n - config.t;
     if (config.keys->n() != config.n || config.keys->threshold_k() != k ||
         config.keys->seed() != config.seed) {
       throw std::invalid_argument(
@@ -97,7 +93,7 @@ Simulator::Simulator(SimConfig config)
       keys_(config_.keys != nullptr
                 ? config_.keys
                 : std::make_shared<const crypto::KeyRegistry>(
-                      config_.n, resolved_threshold(config_), config_.seed)),
+                      config_.n, config_.n - config_.t, config_.seed)),
       processes_(static_cast<std::size_t>(config_.n)),
       contexts_(static_cast<std::size_t>(config_.n)),
       faulty_(static_cast<std::size_t>(config_.n), false),

@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -39,14 +40,12 @@ struct SimConfig {
   int t = 1;
   NetworkConfig net;
   std::uint64_t seed = 1;
-  /// Threshold k for the (k, n)-threshold signature scheme; defaults to
-  /// n - t as used by Quad and vector dissemination.
-  int threshold_k = -1;
-  /// Optional pre-built key registry to share across simulators (the
-  /// registry is an immutable pure function of (n, threshold_k, seed), so
-  /// sweeps reuse one instance across every cell with the same triple —
-  /// see harness::shared_key_registry). Must match this config's (n,
-  /// resolved threshold_k, seed); the constructor throws otherwise. When
+  /// Optional pre-built key registry to share across simulators. Its
+  /// (k, n)-threshold scheme uses k = n - t, as Quad and vector
+  /// dissemination do. The registry is an immutable pure function of
+  /// (n, k, seed), so sweeps reuse one instance across every cell with the
+  /// same triple (see harness::shared_key_registry). Must match this
+  /// config's (n, n - t, seed); the constructor throws otherwise. When
   /// null, the simulator builds its own.
   std::shared_ptr<const crypto::KeyRegistry> keys;
 };
@@ -228,6 +227,13 @@ class Simulator {
         const double laps = std::floor((min_time - base_) / span());
         base_ += (laps > 0 ? laps : 0) * span();
         window_end_ = base_ + span();
+        // Far out, the spacing of doubles exceeds span() and base_ +
+        // span() rounds back to base_: end the window just past the
+        // minimum, so every rebase takes at least one event.
+        if (window_end_ <= min_time) {
+          window_end_ =
+              std::nextafter(min_time, std::numeric_limits<Time>::infinity());
+        }
         cursor_ = 0;
         while (!overflow_.empty() && overflow_.front().time < window_end_) {
           std::pop_heap(overflow_.begin(), overflow_.end(), after);

@@ -43,7 +43,7 @@ class ReferenceNetwork {
   }
 
   Time arrival_time(ProcessId from, ProcessId to, Time send_time) {
-    const Time lower = send_time + config_.min_delay;
+    const Time lower = send_time + Network::kMinDelay;
     const Time upper = std::max(send_time, config_.gst) + config_.delta;
     Time arrival;
     std::optional<Time> custom;
@@ -51,10 +51,10 @@ class ReferenceNetwork {
     if (custom.has_value()) {
       arrival = *custom;
     } else if (send_time >= config_.gst) {
-      arrival = send_time + rng_.uniform(config_.min_delay, config_.delta);
+      arrival = send_time + rng_.uniform(Network::kMinDelay, config_.delta);
     } else {
       const Time cap = std::max(
-          lower, std::min(upper, send_time + config_.default_pre_gst_cap));
+          lower, std::min(upper, send_time + Network::kPreGstCap));
       arrival = rng_.uniform(lower, cap);
     }
     if (auto it = holds_.find({from, to}); it != holds_.end()) {
@@ -440,6 +440,32 @@ TEST(EventQueue, FarFutureEventsInterleaveNearOnesInExactTimeOrder) {
                      return delays[a] < delays[b];
                    });
   EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueue, TimersBeyondTheWindowSpacingOfDoublesStillFire) {
+  // At time 1e17 the spacing of doubles (16) exceeds the queue's window
+  // (128 buckets of delta / 16 = 8), so base + span rounds back to base.
+  // The rebase must still take the overflow minimum, or the queue spins.
+  class FarTimers final : public Process {
+   public:
+    explicit FarTimers(std::vector<Time>* out) : out_(out) {}
+    void on_start(Context& ctx) override { ctx.set_timer(1e17, 0); }
+    void on_timer(Context& ctx, std::uint64_t tag) override {
+      out_->push_back(ctx.now());
+      if (tag == 0) ctx.set_timer(16.0, 1);
+    }
+
+   private:
+    std::vector<Time>* out_;
+  };
+  SimConfig cfg;
+  cfg.n = 1;
+  cfg.t = 0;
+  Simulator sim(cfg);
+  std::vector<Time> fired;
+  sim.add_process(0, std::make_unique<FarTimers>(&fired));
+  EXPECT_EQ(sim.run(), 3u);  // the start and both timers
+  EXPECT_EQ(fired, (std::vector<Time>{1e17, 1e17 + 16.0}));
 }
 
 }  // namespace

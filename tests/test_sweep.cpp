@@ -42,7 +42,6 @@ void expect_equal_results(const std::vector<SweepOutcome>& a,
     EXPECT_EQ(a[i].result.messages_total, b[i].result.messages_total);
     EXPECT_EQ(a[i].result.events, b[i].result.events);
     EXPECT_EQ(a[i].result.last_decision_time, b[i].result.last_decision_time);
-    EXPECT_EQ(a[i].result.by_type, b[i].result.by_type);
     EXPECT_EQ(a[i].error, b[i].error);
   }
 }
@@ -165,29 +164,14 @@ TEST(SweepRunner, ResultsIndependentOfJobCount) {
   expect_equal_results(jobs1, jobs8);
 }
 
-TEST(SweepRunner, InternedByTypeBreakdownIsJobCountDeterministic) {
-  // The per-type counters are indexed by globally interned PayloadTypeId,
-  // and intern order depends on which thread touches a type first — so the
-  // materialized string-keyed breakdown must be identical whatever the job
-  // count, and must partition the paper's message complexity exactly as
-  // the old string-keyed map did. The byzantine matrix exercises every
-  // built-in strategy (wrapper payloads forward their inner type id).
+TEST(SweepRunner, ByzantineMatrixIsJobCountDeterministic) {
+  // The byzantine matrix exercises every built-in strategy, whose shims
+  // and wrapper payloads intern their type ids on whichever thread touches
+  // them first; no result may depend on that order.
   const auto points = harness::named_matrix("byzantine").build();
   const auto jobs1 = SweepRunner(1).run(points);
   const auto jobs3 = SweepRunner(3).run(points);
   expect_equal_results(jobs1, jobs3);
-  std::size_t with_breakdown = 0;
-  for (const SweepOutcome& outcome : jobs1) {
-    SCOPED_TRACE(outcome.point.label);
-    std::uint64_t sum = 0;
-    for (const auto& [name, count] : outcome.result.by_type) {
-      EXPECT_GT(count, 0u) << name;
-      sum += count;
-    }
-    EXPECT_EQ(sum, outcome.result.message_complexity);
-    if (!outcome.result.by_type.empty()) ++with_breakdown;
-  }
-  EXPECT_GT(with_breakdown, points.size() / 2);
 }
 
 TEST(SweepRunner, RunRangeSlicesConcatenateToRunAtAnyShardCount) {

@@ -315,12 +315,4 @@ TEST(SampledOverlay, MembershipIsDeterministicAndSymmetric) {
   EXPECT_GT(slow, 200);
 }
 
-TEST(SampledOverlay, ValidateRejectsDegenerateKeepProbability) {
-  NetworkProfile profile = named_network_profile("sampled-overlay");
-  profile.overlay_keep_permille = 0;
-  EXPECT_THROW(profile.validate(10), std::invalid_argument);
-  profile.overlay_keep_permille = 1001;
-  EXPECT_THROW(profile.validate(10), std::invalid_argument);
-}
-
 }  // namespace

@@ -31,8 +31,9 @@
 // shrunk counterexample as a replayable "valcon-counterexample-v1" JSON
 // cell (the format tests/corpus/ commits and test_corpus_replay replays).
 //
-// Exit codes: 0 = clean search (no violations), 1 = violations found,
-// 2 = usage / bad axis value.
+// Exit codes: 0 = clean search (no violations, no errors), 1 = violations
+// found or a candidate's run threw, 2 = usage / bad axis value.
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -114,9 +115,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* { return argv[++i]; };
     if (arg == "--search-seed" && i + 1 < argc) {
-      const auto parsed = io::parse_int(value(), 0);
+      const auto parsed = io::parse_integer<std::uint64_t>(value());
       if (!parsed.has_value()) return usage(argv[0]);
-      options.search_seed = static_cast<std::uint64_t>(*parsed);
+      options.search_seed = *parsed;
     } else if (arg == "--budget" && i + 1 < argc) {
       const auto parsed = io::parse_int(value(), 1);
       if (!parsed.has_value()) return usage(argv[0]);
@@ -237,5 +238,5 @@ int main(int argc, char** argv) {
                 << cx.candidate.key() << "\n";
     }
   }
-  return report.counterexamples.empty() ? 0 : 1;
+  return report.counterexamples.empty() && report.errors == 0 ? 0 : 1;
 }

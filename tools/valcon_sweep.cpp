@@ -8,7 +8,7 @@
 //                [--topologies a,b,...]
 //                [--jobs N] [--shard I/M]
 //                [--checkpoint FILE] [--stop-after K] [--out FILE]
-//                [--timing FILE] [--quiet]
+//                [--quiet]
 //
 // Each named axis of the matrix (harness/sweep.hpp's axis table) has a
 // filter flag: --strategies filters the fault dimension to the named
@@ -36,17 +36,15 @@
 // Cells are enumerated lazily (ScenarioMatrix::point_at) and streamed
 // (SweepRunner::run_range), so memory stays O(jobs + output), never
 // O(matrix). Per-scenario output is a deterministic function of the matrix
-// alone; wall-clock timing lives only in the stderr table and the optional
-// --timing stream (aggregate numbers plus one {index, label, micros}
-// entry per cell this invocation ran), which is what lets CI diff sweep
-// JSON byte-for-byte across job counts, shardings and resumes.
+// alone; wall-clock time lives only in the stderr table, which is what
+// lets CI diff sweep JSON byte-for-byte across job counts, shardings and
+// resumes. perfbench (perfbench/README.md) is the timer.
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -71,7 +69,7 @@ int usage(const char* argv0) {
   }
   std::cerr << " [--jobs N] [--shard I/M]"
                " [--checkpoint FILE] [--stop-after K] [--out FILE]"
-               " [--timing FILE] [--quiet]\n";
+               " [--quiet]\n";
   return 2;
 }
 
@@ -97,53 +95,6 @@ std::string sorted_join(std::vector<std::string> names) {
   return out;
 }
 
-/// The --timing stream: one {index, label, micros} entry per cell this
-/// invocation actually ran (in index order, streamed as the serial sink
-/// emits them so memory stays O(jobs), never O(cells)), then the
-/// aggregate wall-clock numbers. Deliberately a separate file from the
-/// sweep JSON, which must stay a deterministic function of the matrix
-/// alone. Written to PATH.tmp and renamed into place on success, so a
-/// crashed run never leaves a half-written file at PATH.
-class TimingStream {
- public:
-  [[nodiscard]] bool open(const std::string& path) {
-    path_ = path;
-    file_.open(path + ".tmp", std::ios::binary | std::ios::trunc);
-    if (file_) file_ << "{\"scenarios\": [";
-    return static_cast<bool>(file_);
-  }
-  [[nodiscard]] bool active() const { return file_.is_open(); }
-  void add(const SweepOutcome& o) {
-    file_ << (count_++ == 0 ? "\n  " : ",\n  ") << "{\"index\": "
-          << o.point.index << ", \"label\": \""
-          << io::json_escape(o.point.label)
-          << "\", \"micros\": " << io::json_number(o.wall_micros) << "}";
-  }
-  [[nodiscard]] bool finish(int jobs, double wall, std::size_t cells_run) {
-    file_ << (count_ > 0 ? "\n ],\n" : "],\n") << " \"jobs\": " << jobs
-          << ", \"cells_run\": " << cells_run
-          << ", \"wall_seconds\": " << io::json_number(wall)
-          << ", \"scenarios_per_second\": "
-          << io::json_number(
-                 wall > 0 ? static_cast<double>(cells_run) / wall : 0)
-          << "}\n";
-    file_.flush();
-    if (!file_) return false;
-    file_.close();
-    return std::rename((path_ + ".tmp").c_str(), path_.c_str()) == 0;
-  }
-  void discard() {
-    if (!file_.is_open()) return;
-    file_.close();
-    std::remove((path_ + ".tmp").c_str());
-  }
-
- private:
-  std::string path_;
-  std::ofstream file_;
-  std::size_t count_ = 0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,7 +102,6 @@ int main(int argc, char** argv) {
   PerAxis<std::string> filter_csv;  // each filter flag's value, verbatim
   std::string out_path;
   std::string checkpoint_path;
-  std::string timing_path;
   std::optional<io::ShardSpec> shard;
   int jobs = 1;
   long stop_after = -1;
@@ -192,8 +142,6 @@ int main(int argc, char** argv) {
       stop_after = *parsed;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--timing" && i + 1 < argc) {
-      timing_path = argv[++i];
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -310,23 +258,6 @@ int main(int argc, char** argv) {
 
   const SweepRunner runner(jobs);
   io::JsonSummary summary;
-  // Per-cell wall times for --timing, streamed as the sink emits them
-  // (the sink runs serially in index order, so no synchronization). An
-  // invocation with nothing to run — the idempotent rerun of a complete
-  // checkpoint above all — must not clobber the timing data of the run
-  // that did the work, so the stream only opens when cells will run.
-  TimingStream timing;
-  if (!timing_path.empty()) {
-    if (stop > resume_at) {
-      if (!timing.open(timing_path)) {
-        std::cerr << "error: cannot open " << timing_path << ".tmp\n";
-        return 1;
-      }
-    } else if (!quiet) {
-      std::cerr << "timing: no cells to run; leaving " << timing_path
-                << " untouched\n";
-    }
-  }
   const auto start = std::chrono::steady_clock::now();
   try {
     if (checkpoint_path.empty()) {
@@ -334,7 +265,6 @@ int main(int argc, char** argv) {
       io::document_header(*out, matrix_name, shard, total);
       runner.run_range(matrix, range.begin, range.end,
                        [&](SweepOutcome&& o) {
-                         if (timing.active()) timing.add(o);
                          const std::string line = io::outcome_line(o);
                          summary.add(io::parse_outcome_line(line));
                          *out << line
@@ -354,7 +284,6 @@ int main(int argc, char** argv) {
       }
       try {
         runner.run_range(matrix, resume_at, stop, [&](SweepOutcome&& o) {
-          if (timing.active()) timing.add(o);
           const std::string payload = io::outcome_line(o) + "\n";
           std::size_t written = 0;
           while (written < payload.size()) {
@@ -379,7 +308,6 @@ int main(int argc, char** argv) {
       ::close(side_fd);
     }
   } catch (const std::exception& e) {
-    timing.discard();
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
@@ -389,11 +317,6 @@ int main(int argc, char** argv) {
   const std::size_t cells_run = (checkpoint_path.empty() ? range.end : stop) -
                                 (checkpoint_path.empty() ? range.begin
                                                          : resume_at);
-
-  if (timing.active() && !timing.finish(runner.jobs(), wall, cells_run)) {
-    std::cerr << "error: cannot write " << timing_path << "\n";
-    return 1;
-  }
 
   if (!complete_this_run) {
     if (!quiet) {
